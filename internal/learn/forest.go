@@ -2,7 +2,6 @@ package learn
 
 import (
 	"math"
-	"math/rand"
 
 	"gdr/internal/par"
 )
@@ -85,75 +84,85 @@ func (v Votes) Uncertainty() float64 {
 
 // Forest is a trained random-forest committee.
 type Forest struct {
-	trees []*node
-	nCats int
+	trees []tree
+	// vals maps query strings to the codes the trees were grown on: the
+	// training set's sorted distinct values per feature.
+	vals [][]string
 }
 
 // Train grows a random forest over the examples. All examples must share the
-// same categorical arity. Training with no examples returns nil.
+// same categorical arity (it panics otherwise). Training with no examples
+// returns nil.
 func Train(examples []Example, cfg Config) *Forest {
 	if len(examples) == 0 {
 		return nil
 	}
+	set := newTrainSet(examples)
+	return grow(&set, cfg)
+}
+
+// grow trains a forest over a non-empty coded training set. The forest
+// shares set.vals, so it is valid until the set next changes.
+func grow(set *trainSet, cfg Config) *Forest {
 	cfg = cfg.withDefaults()
-	nCats := len(examples[0].Cats)
+	n := set.len()
 	mtry := cfg.Mtry
 	if mtry <= 0 {
-		mtry = int(math.Ceil(math.Sqrt(float64(nCats + 1))))
+		mtry = int(math.Ceil(math.Sqrt(float64(set.nCats() + 1))))
 	}
-	tc := treeConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, mtry: mtry, nCats: nCats}
-	nSample := int(math.Ceil(cfg.SampleFrac * float64(len(examples))))
+	nSample := int(math.Ceil(cfg.SampleFrac * float64(n)))
 	if nSample < 1 {
 		nSample = 1
 	}
-	var byLabel [NumLabels][]int
-	for i, ex := range examples {
-		byLabel[ex.Label] = append(byLabel[ex.Label], i)
-	}
-	var classes [][]int
-	for _, idxs := range byLabel {
-		if len(idxs) > 0 {
-			classes = append(classes, idxs)
-		}
-	}
+	tc := treeConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, mtry: mtry, nSample: nSample}
+
+	g := getGrower()
+	defer putGrower(g)
+	in := g.prepare(set, tc, cfg.Unbalanced)
 	// Derive one seed per tree up front from the configured seed: each tree's
 	// bootstrap and split draws come from its own RNG, so the committee is
 	// reproducible for a given Seed regardless of Workers or the order the
 	// trees finish growing in.
-	seedRNG := rand.New(rand.NewSource(cfg.Seed))
-	seeds := make([]int64, cfg.K)
-	for k := range seeds {
-		seeds[k] = seedRNG.Int63()
+	g.rng.Seed(cfg.Seed)
+	g.seeds = g.seeds[:0]
+	for k := 0; k < cfg.K; k++ {
+		g.seeds = append(g.seeds, g.rng.Int63())
 	}
-	f := &Forest{nCats: nCats, trees: make([]*node, cfg.K)}
+	seeds := g.seeds
+	f := &Forest{vals: set.vals, trees: make([]tree, cfg.K)}
 	par.ForEach(par.Workers(cfg.Workers), cfg.K, func(k int) error {
-		rng := rand.New(rand.NewSource(seeds[k]))
-		idx := make([]int, nSample)
-		if cfg.Unbalanced || len(classes) < 2 {
-			for i := range idx {
-				idx[i] = rng.Intn(len(examples))
-			}
-		} else {
-			for i := range idx {
-				class := classes[i%len(classes)]
-				idx[i] = class[rng.Intn(len(class))]
-			}
-		}
-		f.trees[k] = buildTree(examples, idx, tc, rng, 0)
+		tg := getGrower()
+		f.trees[k] = tg.growTree(in, seeds[k])
+		putGrower(tg)
 		return nil
 	})
 	return f
 }
 
+// maxMemoCats bounds the arity whose query codes Predict memoizes on the
+// stack; wider feature vectors pay one allocation per call.
+const maxMemoCats = 64
+
 // Predict classifies a feature vector: each committee member votes and the
 // majority label wins. It panics if cats does not match the training arity.
 func (f *Forest) Predict(cats []string, sim float64) (Label, Votes) {
-	if len(cats) != f.nCats {
+	if len(cats) != len(f.vals) {
 		panic("learn: feature arity mismatch")
 	}
+	var buf [maxMemoCats]int32
+	var codes []int32
+	if len(cats) <= maxMemoCats {
+		codes = buf[:len(cats)]
+	} else {
+		codes = make([]int32, len(cats))
+	}
+	for i := range codes {
+		codes[i] = unresolved
+	}
+	memo := codeMemo{vals: f.vals, cats: cats, codes: codes}
 	var v Votes
-	for _, t := range f.trees {
-		v[t.classify(cats, sim)] += 1
+	for k := range f.trees {
+		v[f.trees[k].classify(&memo, sim)] += 1
 	}
 	for i := range v {
 		v[i] /= float64(len(f.trees))
@@ -169,7 +178,7 @@ func (f *Forest) K() int { return len(f.trees) }
 type Model struct {
 	cfg      Config
 	minTrain int
-	examples []Example
+	set      trainSet
 	forest   *Forest
 	stale    bool
 	retrains int64
@@ -184,22 +193,24 @@ func NewModel(cfg Config, minTrain int) *Model {
 	return &Model{cfg: cfg, minTrain: minTrain, stale: true}
 }
 
-// Add appends a training example (the user's feedback on one update).
+// Add appends a training example (the user's feedback on one update). The
+// example is interned into the model's codes; ex.Cats is not retained. The
+// first example fixes the categorical arity: Add panics with "learn: feature
+// arity mismatch" if a later example's differs.
 func (m *Model) Add(ex Example) {
-	ex.Cats = append([]string(nil), ex.Cats...)
-	m.examples = append(m.examples, ex)
+	m.set.add(ex)
 	m.stale = true
 }
 
 // Len returns the number of accumulated training examples.
-func (m *Model) Len() int { return len(m.examples) }
+func (m *Model) Len() int { return m.set.len() }
 
 // Gen returns a counter that changes whenever the model's training set
 // (and therefore its predictions) may have changed; caches key on it.
-func (m *Model) Gen() int64 { return int64(len(m.examples)) }
+func (m *Model) Gen() int64 { return int64(m.set.len()) }
 
 // Ready reports whether the model has enough feedback to predict.
-func (m *Model) Ready() bool { return len(m.examples) >= m.minTrain }
+func (m *Model) Ready() bool { return m.set.len() >= m.minTrain }
 
 // NeedsRetrain reports whether the next Predict will grow a fresh forest —
 // the committee-retrain event observability layers want to time without
@@ -226,11 +237,11 @@ func (m *Model) Predict(cats []string, sim float64) (label Label, votes Votes, o
 // train grows the forest for the current training set and retrain count.
 // The seed varies across retrains (deterministically) so the committee is
 // re-drawn as the training set evolves; because it is a pure function of
-// (Config.Seed, len(examples), retrains), a model restored from a snapshot
+// (Config.Seed, the examples, retrains), a model restored from a snapshot
 // retrains to the byte-identical committee (see RestoreModel).
 func (m *Model) train() {
 	cfg := m.cfg
-	cfg.Seed = cfg.Seed*31 + int64(len(m.examples)) + m.retrains
-	m.forest = Train(m.examples, cfg)
+	cfg.Seed = cfg.Seed*31 + int64(m.set.len()) + m.retrains
+	m.forest = grow(&m.set, cfg)
 	m.stale = false
 }

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -237,8 +238,32 @@ func TestModelAddCopiesFeatures(t *testing.T) {
 	cats := []string{"H1", "a"}
 	m.Add(Example{Cats: cats, Sim: 0, Label: Retain})
 	cats[0] = "mutated"
-	if m.examples[0].Cats[0] != "H1" {
-		t.Fatal("Add must copy the feature slice")
+	if got := m.State().Examples[0].Cats[0]; got != "H1" {
+		t.Fatalf("Add must not retain the feature slice: example value %q", got)
+	}
+}
+
+// TestModelAddArityMismatchPanics checks that Add rejects an example whose
+// arity differs from the first example's at the call, instead of storing
+// codes that misalign every later example, and keeps nothing of it.
+func TestModelAddArityMismatchPanics(t *testing.T) {
+	m := NewModel(Config{K: 3, Seed: 1}, 1)
+	m.Add(Example{Cats: []string{"H1", "a"}, Sim: 0.5, Label: Retain})
+	for _, cats := range [][]string{{"H1"}, {"H1", "a", "b"}, nil} {
+		func() {
+			defer func() {
+				if r := recover(); r != "learn: feature arity mismatch" {
+					t.Fatalf("Add(%q) recovered %v, want the arity mismatch panic", cats, r)
+				}
+			}()
+			m.Add(Example{Cats: cats, Label: Confirm})
+		}()
+	}
+	if m.Len() != 1 {
+		t.Fatalf("Len = %d after rejected examples, want 1", m.Len())
+	}
+	if label, _, ok := m.Predict([]string{"H1", "a"}, 0.5); !ok || label != Retain {
+		t.Fatalf("model after rejected examples predicts %v (ok %v), want retain", label, ok)
 	}
 }
 
@@ -256,9 +281,11 @@ func TestPredictArityMismatchPanics(t *testing.T) {
 func BenchmarkForestTrain(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	exs := synthExamples(500, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Train(exs, Config{K: 10, Seed: int64(i)})
+	b.ReportAllocs()
+	seed := int64(0)
+	for b.Loop() {
+		Train(exs, Config{K: 10, Seed: seed})
+		seed++
 	}
 }
 
@@ -266,8 +293,64 @@ func BenchmarkForestPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	f := Train(synthExamples(500, rng), Config{K: 10, Seed: 1})
 	ex := synthExamples(1, rng)[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		f.Predict(ex.Cats, ex.Sim)
+	}
+}
+
+// feedbackStream is an interactive-session-shaped feedback stream for one
+// attribute's model: 13 categorical features, shaped like a 12-attribute
+// hospital tuple plus the suggested value, two of them near-unique (patient
+// id and visit date); similarities quantized the way short-string edit
+// similarities are; feedback skewed toward reject and retain.
+func feedbackStream(n int, rng *rand.Rand) []Example {
+	// Cardinality per feature; 0 marks a near-unique one.
+	cards := []int{0, 80, 2, 6, 12, 74, 150, 24, 28, 1, 0, 9, 24}
+	out := make([]Example, n)
+	for i := range out {
+		cats := make([]string, len(cards))
+		for f, card := range cards {
+			if card == 0 {
+				cats[f] = fmt.Sprintf("u%d-%06d", f, rng.Intn(1000000))
+			} else {
+				cats[f] = fmt.Sprintf("v%d-%d", f, rng.Intn(card))
+			}
+		}
+		label := []Label{Confirm, Reject, Reject, Retain, Retain}[rng.Intn(5)]
+		if cats[3] == "v3-1" {
+			label = Confirm
+		}
+		out[i] = Example{Cats: cats, Sim: float64(rng.Intn(13)) / 12, Label: label}
+	}
+	return out
+}
+
+// BenchmarkModelRetrain replays the learner's share of an interactive
+// feedback round: one Add and one Predict (which retrains the committee) per
+// op, on a model holding 65–192 examples (about 130 on average).
+func BenchmarkModelRetrain(b *testing.B) {
+	const warm, window = 64, 128
+	stream := feedbackStream(warm+window, rand.New(rand.NewSource(13)))
+	fresh := func() *Model {
+		m := NewModel(Config{Seed: 5}, 3)
+		for _, ex := range stream[:warm] {
+			m.Add(ex)
+		}
+		return m
+	}
+	m := fresh()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict(ex.Cats, ex.Sim)
+		j := i % window
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			m = fresh()
+			b.StartTimer()
+		}
+		ex := stream[warm+j]
+		m.Add(ex)
+		m.Predict(ex.Cats, ex.Sim)
 	}
 }

@@ -35,8 +35,8 @@ func TestTrainWorkersExceedingTrees(t *testing.T) {
 		t.Fatalf("committee size = %d, want 3", f.K())
 	}
 	for _, tree := range f.trees {
-		if tree == nil {
-			t.Fatal("parallel training left a nil tree")
+		if len(tree.nodes) == 0 {
+			t.Fatal("parallel training left an empty tree")
 		}
 	}
 }

@@ -14,7 +14,9 @@ type ModelState struct {
 	Cfg Config
 	// MinTrain is the readiness threshold (see NewModel).
 	MinTrain int
-	// Examples is the accumulated training set, in feedback order.
+	// Examples is the accumulated training set, in feedback order. A model
+	// keeps its examples only as integer codes, so State rebuilds this list
+	// on every call; it is the caller's and shares nothing with the model.
 	Examples []Example
 	// Retrains counts how many times the committee has been regrown; the
 	// training seed is derived from it.
@@ -24,15 +26,14 @@ type ModelState struct {
 	Trained bool
 }
 
-// State snapshots the model. Examples are shared, not copied: the model
-// only ever appends to its training set and never mutates recorded
-// examples, so the returned state stays valid while the model keeps
-// learning.
+// State snapshots the model. The example list is rebuilt from the model's
+// codes on each call (fresh slices, not shared with the model), so it costs
+// one allocation per example list and per feature table, not per example.
 func (m *Model) State() ModelState {
 	return ModelState{
 		Cfg:      m.cfg,
 		MinTrain: m.minTrain,
-		Examples: m.examples[:len(m.examples):len(m.examples)],
+		Examples: m.set.examples(),
 		Retrains: m.retrains,
 		Trained:  !m.stale && m.forest != nil,
 	}
@@ -43,7 +44,8 @@ func (m *Model) State() ModelState {
 // so the restored model's predictions are byte-identical to the original's
 // from this point on. The example list is validated (consistent categorical
 // arity, known labels) so a corrupt snapshot errors instead of panicking
-// inside later Train/Predict calls.
+// inside later Train/Predict calls, then interned into codes; st is not
+// retained.
 func RestoreModel(st ModelState) (*Model, error) {
 	for i, ex := range st.Examples {
 		if ex.Label < 0 || ex.Label >= NumLabels {
@@ -61,7 +63,9 @@ func RestoreModel(st ModelState) (*Model, error) {
 		return nil, fmt.Errorf("learn: negative retrain count %d", st.Retrains)
 	}
 	m := NewModel(st.Cfg, st.MinTrain)
-	m.examples = append([]Example(nil), st.Examples...)
+	if len(st.Examples) > 0 {
+		m.set = newTrainSet(st.Examples)
+	}
 	m.retrains = st.Retrains
 	if st.Trained {
 		m.train()

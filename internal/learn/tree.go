@@ -13,12 +13,25 @@
 // update r = ⟨t, Ai, v, s⟩: the original attribute values t[A1..An] and the
 // suggested value v are categorical features, and the relationship function
 // R(t[Ai], v) (a string similarity) is a numeric feature.
+//
+// The API speaks strings, but the trainer does not. Each example is interned
+// once, when it enters a Model (or a Train call), into per-feature integer
+// codes ranked in string order, and is stored only in that form. Trees grow
+// by counting-partitioning index ranges into per-depth buffers borrowed from
+// a pool, and are stored as flat node arrays with integer child tables.
+// Because codes are ranked by string, the trainer visits a categorical
+// split's children in the same sorted-string order as a string-keyed trainer
+// would, so every RNG draw lands where it would there and the committee is
+// identical to one grown on the strings. Each tree draws from a copy of
+// math/rand's Go 1 source that yields the same stream but seeds faster (see
+// goSource).
 package learn
 
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Label is the class predicted for a suggested update; it mirrors the
@@ -60,22 +73,84 @@ type Example struct {
 	Label Label
 }
 
-// node is one decision-tree node. A leaf predicts its majority label;
-// internal nodes split on either a categorical feature (children by value)
-// or the numeric similarity feature (threshold).
+// node is one decision-tree node, 32 bytes, stored in its tree's flat node
+// array. A leaf predicts its majority label; internal nodes split on either a
+// categorical feature (one child per code) or the numeric similarity feature
+// (threshold). Children are node indices held in the tree's child table.
 type node struct {
-	majority Label
-
-	leaf bool
-
-	// Categorical split: catFeat >= 0 and children indexed by value.
-	catFeat  int
-	children map[string]*node
-
-	// Numeric split: catFeat == -1; Sim <= thresh goes left.
+	// thresh is the numeric split point: Sim <= thresh descends to
+	// kids[lo], anything else (NaN included) to kids[lo+1].
 	thresh float64
-	left   *node
-	right  *node
+	// feat is the categorical feature split on, or leafNode / simNode.
+	feat  int32
+	major int32
+	// lo is the offset of the node's children in the tree's child table.
+	lo int32
+	// For a categorical split, code c's child is kids[lo+c-base] when
+	// base <= c < base+span; a -1 there, or a code outside the window,
+	// means no training example reached this node with that value.
+	base int32
+	span int32
+}
+
+const (
+	leafNode int32 = -1
+	simNode  int32 = -2
+)
+
+// tree is one committee member: nodes[0] is the root.
+type tree struct {
+	nodes []node
+	kids  []int32
+}
+
+// classify walks the tree; a categorical value with no child (unseen in
+// training, or absent from this node's sample) falls back to the current
+// node's majority label. codes resolves the query's values to codes.
+func (t *tree) classify(codes *codeMemo, sim float64) Label {
+	n := &t.nodes[0]
+	for {
+		switch n.feat {
+		case leafNode:
+			return Label(n.major)
+		case simNode:
+			k := n.lo
+			if !(sim <= n.thresh) {
+				k++
+			}
+			n = &t.nodes[t.kids[k]]
+		default:
+			s := codes.get(int(n.feat)) - n.base
+			if uint32(s) >= uint32(n.span) {
+				return Label(n.major)
+			}
+			child := t.kids[n.lo+s]
+			if child < 0 {
+				return Label(n.major)
+			}
+			n = &t.nodes[child]
+		}
+	}
+}
+
+// codeMemo resolves a query's categorical values to training-set codes on
+// first use: one Forest.Predict looks each feature up at most once however
+// many trees test it.
+type codeMemo struct {
+	vals  [][]string
+	cats  []string
+	codes []int32
+}
+
+const unresolved = math.MinInt32
+
+func (m *codeMemo) get(f int) int32 {
+	c := m.codes[f]
+	if c == unresolved {
+		c = codeOf(m.vals[f], m.cats[f])
+		m.codes[f] = c
+	}
+	return c
 }
 
 // treeConfig bundles the per-tree growth limits.
@@ -83,15 +158,7 @@ type treeConfig struct {
 	maxDepth int
 	minLeaf  int
 	mtry     int
-	nCats    int // number of categorical features; the numeric feature has index nCats
-}
-
-func countLabels(exs []Example, idx []int) [NumLabels]int {
-	var c [NumLabels]int
-	for _, i := range idx {
-		c[exs[i].Label]++
-	}
-	return c
+	nSample  int
 }
 
 func majorityOf(c [NumLabels]int) Label {
@@ -104,7 +171,9 @@ func majorityOf(c [NumLabels]int) Label {
 	return best
 }
 
-// entropy returns the Shannon entropy (nats) of a label distribution.
+// entropy returns the Shannon entropy (nats) of a label distribution. A pure
+// distribution returns 0 without a logarithm: the sum would be 0 − 1·log 1,
+// which is +0 as well.
 func entropy(c [NumLabels]int, n int) float64 {
 	if n == 0 {
 		return 0
@@ -114,170 +183,424 @@ func entropy(c [NumLabels]int, n int) float64 {
 		if k == 0 {
 			continue
 		}
+		if k == n {
+			return 0
+		}
 		p := float64(k) / float64(n)
 		h -= p * math.Log(p)
 	}
 	return h
 }
 
-// buildTree grows one decision tree over exs[idx] with random feature
-// subsampling at each split.
-func buildTree(exs []Example, idx []int, cfg treeConfig, rng *rand.Rand, depth int) *node {
-	counts := countLabels(exs, idx)
-	n := &node{majority: majorityOf(counts), catFeat: -1}
-	total := len(idx)
-	if total == 0 {
-		n.leaf = true
-		return n
+// minGain is the margin a candidate split's information gain must clear to
+// beat the best so far (and zero); it absorbs floating-point noise, so equal
+// gains keep the first candidate.
+const minGain = 1e-12
+
+// forestInput is what every tree of one forest reads. The grower that
+// coordinates a Train prepares it once, in its own scratch; tree growers
+// only read it, so the trees can grow concurrently.
+type forestInput struct {
+	set *trainSet
+	cfg treeConfig
+	// simRank[i] is example i's Sim rank (see trainSet.rankSims).
+	simRank []int32
+	nRanks  int
+	// classes lists each present label's example indices, in example order;
+	// balanced bootstrap samples draw from them in turn.
+	classes  [][]int32
+	balanced bool
+	// tableLen sizes the per-code and per-rank count tables.
+	tableLen int
+}
+
+// grower is the scratch a tree grows in. Growers live in growerPool, so no
+// Model holds scratch and a warm retrain allocates only the trees it
+// returns. Every count table is all zeros between uses.
+type grower struct {
+	src goSource
+	rng *rand.Rand
+
+	in *forestInput
+
+	// bufs[d] holds the sample indices of the nodes at depth d; a node
+	// owning bufs[d][lo:hi] partitions it into bufs[d+1][lo:hi]. Every
+	// range is sorted by Sim rank: the root sample is counting-sorted and
+	// every partition is stable.
+	bufs   [][]int32
+	sample []int32
+	// tot[c] and lab[c*NumLabels+l] count a range's samples with code (or
+	// rank) c and label l; seen lists the codes touched, so resetting costs
+	// the range, not the cardinality.
+	tot  []int32
+	lab  []int32
+	seen []int32
+	// perm holds the in-place feature permutation, uniq a range's distinct
+	// Sim values.
+	perm []int
+	uniq []float64
+
+	nodes []node
+	kids  []int32
+
+	// Coordinator scratch: the forest input and what it points into.
+	forest  forestInput
+	seeds   []int64
+	byLabel []int32
+	classes [NumLabels][]int32
+	order   []int32
+	simRank []int32
+}
+
+var growerPool = sync.Pool{New: func() any {
+	g := new(grower)
+	g.rng = rand.New(&g.src)
+	return g
+}}
+
+func getGrower() *grower { return growerPool.Get().(*grower) }
+
+// putGrower returns g to the pool, dropping its references to the caller's
+// training set.
+func putGrower(g *grower) {
+	g.in = nil
+	g.forest = forestInput{}
+	growerPool.Put(g)
+}
+
+// prepare builds the forest input for set in the coordinator's scratch.
+func (g *grower) prepare(set *trainSet, cfg treeConfig, unbalanced bool) *forestInput {
+	n := set.len()
+	// Counting-sort the example indices by label for the balanced bootstrap.
+	var start [NumLabels + 1]int32
+	for _, l := range set.labels {
+		start[l+1]++
 	}
+	for l := 0; l < NumLabels; l++ {
+		start[l+1] += start[l]
+	}
+	g.byLabel = slices.Grow(g.byLabel[:0], n)[:n]
+	next := start
+	for i, l := range set.labels {
+		g.byLabel[next[l]] = int32(i)
+		next[l]++
+	}
+	nClasses := 0
+	for l := 0; l < NumLabels; l++ {
+		if start[l+1] > start[l] {
+			g.classes[nClasses] = g.byLabel[start[l]:start[l+1]]
+			nClasses++
+		}
+	}
+	g.order = slices.Grow(g.order[:0], n)[:n]
+	g.simRank = slices.Grow(g.simRank[:0], n)[:n]
+	nRanks := set.rankSims(g.simRank, g.order)
+	tableLen := nRanks
+	for _, vals := range set.vals {
+		tableLen = max(tableLen, len(vals))
+	}
+	g.forest = forestInput{
+		set:      set,
+		cfg:      cfg,
+		simRank:  g.simRank,
+		nRanks:   nRanks,
+		classes:  g.classes[:nClasses],
+		balanced: !unbalanced && nClasses >= 2,
+		tableLen: tableLen,
+	}
+	return &g.forest
+}
+
+// buf returns the index buffer for depth d.
+func (g *grower) buf(d int) []int32 {
+	for len(g.bufs) <= d {
+		g.bufs = append(g.bufs, nil)
+	}
+	if len(g.bufs[d]) < g.in.cfg.nSample {
+		g.bufs[d] = make([]int32, g.in.cfg.nSample)
+	}
+	return g.bufs[d]
+}
+
+// growTree draws one tree's bootstrap sample from seed and grows the tree.
+// The result owns its memory; the grower's scratch is left for the next
+// tree.
+func (g *grower) growTree(in *forestInput, seed int64) tree {
+	g.in = in
+	if len(g.tot) < in.tableLen {
+		g.tot = make([]int32, in.tableLen)
+		g.lab = make([]int32, in.tableLen*NumLabels)
+	}
+	g.nodes, g.kids = g.nodes[:0], g.kids[:0]
+
+	g.rng.Seed(seed)
+	n := in.cfg.nSample
+	g.sample = slices.Grow(g.sample[:0], n)[:n]
+	if in.balanced {
+		for i := range g.sample {
+			class := in.classes[i%len(in.classes)]
+			g.sample[i] = class[g.rng.Intn(len(class))]
+		}
+	} else {
+		for i := range g.sample {
+			g.sample[i] = int32(g.rng.Intn(in.set.len()))
+		}
+	}
+	// The sample is a multiset, so its order is free: counting-sort it by
+	// Sim rank.
+	root := g.buf(0)[:n]
+	for _, i := range g.sample {
+		g.tot[in.simRank[i]]++
+	}
+	at := int32(0)
+	for r, c := range g.tot[:in.nRanks] {
+		g.tot[r] = at
+		at += c
+	}
+	for _, i := range g.sample {
+		r := in.simRank[i]
+		root[g.tot[r]] = i
+		g.tot[r]++
+	}
+	clear(g.tot[:in.nRanks])
+
+	g.build(0, 0, n)
+	return tree{nodes: slices.Clone(g.nodes), kids: slices.Clone(g.kids)}
+}
+
+// build grows the subtree over bufs[depth][lo:hi] and returns its root's
+// node index. The order of its RNG draws is what makes committees match a
+// trainer on the strings, so it must not change: a feature permutation at
+// every internal node, then the children depth-first — categorical ones in
+// code (= sorted string) order, numeric ones left before right.
+func (g *grower) build(depth, lo, hi int) int32 {
+	idx := g.bufs[depth][lo:hi]
+	labels := g.in.set.labels
+	var counts [NumLabels]int
+	for _, i := range idx {
+		counts[labels[i]]++
+	}
+	ni := int32(len(g.nodes))
+	g.nodes = append(g.nodes, node{feat: leafNode, major: int32(majorityOf(counts))})
+	total := hi - lo
 	pure := false
 	for _, k := range counts {
 		if k == total {
 			pure = true
 		}
 	}
-	if pure || depth >= cfg.maxDepth || total < 2*cfg.minLeaf {
-		n.leaf = true
-		return n
+	if pure || depth >= g.in.cfg.maxDepth || total < 2*g.in.cfg.minLeaf {
+		return ni
 	}
 
 	parentH := entropy(counts, total)
-	nFeats := cfg.nCats + 1
-	feats := rng.Perm(nFeats)
-	if len(feats) > cfg.mtry {
-		feats = feats[:cfg.mtry]
+	nCats := g.in.set.nCats()
+	feats := g.permute(nCats + 1)
+	if len(feats) > g.in.cfg.mtry {
+		feats = feats[:g.in.cfg.mtry]
 	}
-
-	bestGain := 0.0
-	bestFeat := -1
-	bestThresh := 0.0
-	var bestParts map[string][]int
-	var bestLeft, bestRight []int
-
+	bestGain, bestFeat, bestThresh := 0.0, -1, 0.0
 	for _, f := range feats {
-		if f < cfg.nCats {
-			parts := make(map[string][]int)
-			for _, i := range idx {
-				v := exs[i].Cats[f]
-				parts[v] = append(parts[v], i)
-			}
-			if len(parts) < 2 {
-				continue
-			}
-			childH := 0.0
-			for _, part := range parts {
-				childH += float64(len(part)) / float64(total) * entropy(countLabels(exs, part), len(part))
-			}
-			if gain := parentH - childH; gain > bestGain+1e-12 {
-				bestGain, bestFeat, bestParts = gain, f, parts
+		if f < nCats {
+			if gain, ok := g.catGain(idx, f, parentH); ok && gain > bestGain+minGain {
+				bestGain, bestFeat = gain, f
 			}
 			continue
 		}
-		// Numeric feature: try quantile thresholds over distinct sims.
-		sims := make([]float64, 0, total)
-		for _, i := range idx {
-			sims = append(sims, exs[i].Sim)
-		}
-		sort.Float64s(sims)
-		for _, th := range thresholds(sims) {
-			var lc, rc [NumLabels]int
-			ln, rn := 0, 0
-			for _, i := range idx {
-				if exs[i].Sim <= th {
-					lc[exs[i].Label]++
-					ln++
-				} else {
-					rc[exs[i].Label]++
-					rn++
-				}
-			}
-			if ln == 0 || rn == 0 {
-				continue
-			}
-			childH := float64(ln)/float64(total)*entropy(lc, ln) + float64(rn)/float64(total)*entropy(rc, rn)
-			if gain := parentH - childH; gain > bestGain+1e-12 {
-				bestGain, bestFeat, bestThresh = gain, f, th
-				bestParts = nil
-			}
+		if gain, th, ok := g.simGain(idx, counts, parentH, bestGain); ok {
+			bestGain, bestFeat, bestThresh = gain, f, th
 		}
 	}
+	if bestFeat < 0 || bestGain <= minGain {
+		return ni
+	}
+	if bestFeat < nCats {
+		g.splitCat(ni, depth, lo, hi, bestFeat)
+	} else {
+		g.splitSim(ni, depth, lo, hi, bestThresh)
+	}
+	return ni
+}
 
-	if bestFeat < 0 || bestGain <= 1e-12 {
-		n.leaf = true
-		return n
+// permute returns a random permutation of [0, n) drawn exactly as
+// rand.Rand.Perm draws it, into reused scratch.
+func (g *grower) permute(n int) []int {
+	if cap(g.perm) < n {
+		g.perm = make([]int, n)
 	}
-	if bestParts != nil {
-		n.catFeat = bestFeat
-		n.children = make(map[string]*node, len(bestParts))
-		// Recurse over children in sorted key order so the shared RNG is
-		// consumed identically across runs: training stays deterministic.
-		keys := make([]string, 0, len(bestParts))
-		for v := range bestParts {
-			keys = append(keys, v)
-		}
-		sort.Strings(keys)
-		for _, v := range keys {
-			n.children[v] = buildTree(exs, bestParts[v], cfg, rng, depth+1)
-		}
-		return n
+	m := g.perm[:n]
+	for i := range m {
+		j := g.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
 	}
-	// Numeric split.
-	n.thresh = bestThresh
+	return m
+}
+
+// catGain returns the information gain of splitting idx on categorical
+// feature f; ok is false when every sample shares one value.
+func (g *grower) catGain(idx []int32, f int, parentH float64) (gain float64, ok bool) {
+	col, labels := g.in.set.cols[f], g.in.set.labels
+	seen := g.seen[:0]
 	for _, i := range idx {
-		if exs[i].Sim <= bestThresh {
-			bestLeft = append(bestLeft, i)
-		} else {
-			bestRight = append(bestRight, i)
+		c := col[i]
+		if g.tot[c] == 0 {
+			seen = append(seen, c)
 		}
+		g.tot[c]++
+		g.lab[int(c)*NumLabels+int(labels[i])]++
 	}
-	n.left = buildTree(exs, bestLeft, cfg, rng, depth+1)
-	n.right = buildTree(exs, bestRight, cfg, rng, depth+1)
-	return n
+	childH := 0.0
+	total := len(idx)
+	for _, c := range seen {
+		var lc [NumLabels]int
+		for l := range lc {
+			lc[l] = int(g.lab[int(c)*NumLabels+l])
+			g.lab[int(c)*NumLabels+l] = 0
+		}
+		n := int(g.tot[c])
+		g.tot[c] = 0
+		childH += float64(n) / float64(total) * entropy(lc, n)
+	}
+	g.seen = seen
+	return parentH - childH, len(seen) >= 2
 }
 
-// thresholds picks up to 8 candidate split points (midpoints between
-// adjacent distinct values) from a sorted slice.
-func thresholds(sorted []float64) []float64 {
-	var uniq []float64
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			uniq = append(uniq, v)
+// simGain tries up to 8 quantile thresholds over the distinct Sim values of
+// idx (midpoints between adjacent distinct values) and returns the best
+// whose gain beats bestGain; ok is false if none does. idx is sorted by Sim
+// rank, so its distinct values come in order and each threshold's left side
+// is a prefix of its non-NaN part: NaNs rank first and never satisfy
+// Sim <= th.
+func (g *grower) simGain(idx []int32, counts [NumLabels]int, parentH, bestGain float64) (gain, thresh float64, ok bool) {
+	sims, labels := g.in.set.sims, g.in.set.labels
+	// Deduplicate with != as a sort-then-scan would: every NaN occurrence,
+	// even of one example drawn twice, counts as a distinct value.
+	uniq := g.uniq[:0]
+	for j, i := range idx {
+		if j == 0 || sims[i] != sims[idx[j-1]] {
+			uniq = append(uniq, sims[i])
 		}
 	}
-	if len(uniq) < 2 {
-		return nil
+	g.uniq = uniq
+	mids := len(uniq) - 1
+	if mids < 1 {
+		return 0, 0, false
 	}
-	var mids []float64
-	for i := 1; i < len(uniq); i++ {
-		mids = append(mids, (uniq[i-1]+uniq[i])/2)
+	tries := min(mids, 8)
+	p := 0
+	for p < len(idx) && math.IsNaN(sims[idx[p]]) {
+		p++
 	}
-	if len(mids) <= 8 {
-		return mids
-	}
-	out := make([]float64, 0, 8)
-	for i := 0; i < 8; i++ {
-		out = append(out, mids[i*len(mids)/8])
-	}
-	return out
-}
-
-// classify walks the tree; unseen categorical values fall back to the
-// current node's majority label.
-func (n *node) classify(cats []string, sim float64) Label {
-	for !n.leaf {
-		if n.catFeat >= 0 {
-			child, ok := n.children[cats[n.catFeat]]
-			if !ok {
-				return n.majority
-			}
-			n = child
+	total := len(idx)
+	var lc [NumLabels]int
+	ln := 0
+	for t := 0; t < tries; t++ {
+		m := t
+		if mids > 8 {
+			m = t * mids / 8
+		}
+		th := (uniq[m] + uniq[m+1]) / 2
+		for p < len(idx) && sims[idx[p]] <= th {
+			lc[labels[idx[p]]]++
+			ln++
+			p++
+		}
+		rn := total - ln
+		if ln == 0 || rn == 0 {
 			continue
 		}
-		if sim <= n.thresh {
-			n = n.left
-		} else {
-			n = n.right
+		var rc [NumLabels]int
+		for l := range rc {
+			rc[l] = counts[l] - lc[l]
+		}
+		childH := float64(ln)/float64(total)*entropy(lc, ln) + float64(rn)/float64(total)*entropy(rc, rn)
+		if gain := parentH - childH; gain > bestGain+minGain {
+			bestGain, thresh, ok = gain, th, true
 		}
 	}
-	return n.majority
+	return bestGain, thresh, ok
+}
+
+// splitCat turns node ni into a split on categorical feature f: it
+// counting-partitions bufs[depth][lo:hi] by code into bufs[depth+1][lo:hi],
+// children in ascending code order, and grows each child.
+func (g *grower) splitCat(ni int32, depth, lo, hi, f int) {
+	idx := g.bufs[depth][lo:hi]
+	next := g.buf(depth + 1)
+	col := g.in.set.cols[f]
+	seen := g.seen[:0]
+	for _, i := range idx {
+		c := col[i]
+		if g.tot[c] == 0 {
+			seen = append(seen, c)
+		}
+		g.tot[c]++
+	}
+	slices.Sort(seen)
+	base := seen[0]
+	span := seen[len(seen)-1] - base + 1
+	kbase := int32(len(g.kids))
+	for s := int32(0); s < span; s++ {
+		g.kids = append(g.kids, -1)
+	}
+	// Until the children exist, a present code's child slot holds the end
+	// of its partition (always >= 1), and tot[c] its write cursor.
+	at := int32(lo)
+	for _, c := range seen {
+		n := g.tot[c]
+		g.tot[c] = at
+		at += n
+		g.kids[kbase+c-base] = at
+	}
+	for _, i := range idx {
+		c := col[i]
+		next[g.tot[c]] = i
+		g.tot[c]++
+	}
+	for _, c := range seen {
+		g.tot[c] = 0
+	}
+	g.seen = seen
+	g.nodes[ni].feat = int32(f)
+	g.nodes[ni].lo, g.nodes[ni].base, g.nodes[ni].span = kbase, base, span
+	start := lo
+	for s := kbase; s < kbase+span; s++ {
+		end := g.kids[s]
+		if end < 0 {
+			continue
+		}
+		child := g.build(depth+1, start, int(end))
+		g.kids[s] = child
+		start = int(end)
+	}
+}
+
+// splitSim turns node ni into a split on the numeric feature at th: Sim <=
+// th goes left, everything else right.
+func (g *grower) splitSim(ni int32, depth, lo, hi int, th float64) {
+	idx := g.bufs[depth][lo:hi]
+	next := g.buf(depth + 1)
+	sims := g.in.set.sims
+	w := lo
+	for _, i := range idx {
+		if sims[i] <= th {
+			next[w] = i
+			w++
+		}
+	}
+	mid := w
+	for _, i := range idx {
+		if !(sims[i] <= th) {
+			next[w] = i
+			w++
+		}
+	}
+	kbase := int32(len(g.kids))
+	g.kids = append(g.kids, -1, -1)
+	g.nodes[ni].feat, g.nodes[ni].thresh, g.nodes[ni].lo = simNode, th, kbase
+	left := g.build(depth+1, lo, mid)
+	g.kids[kbase] = left
+	right := g.build(depth+1, mid, hi)
+	g.kids[kbase+1] = right
 }
