@@ -81,8 +81,13 @@ type AttrHitWindow struct {
 
 // ExportState snapshots the session. The returned state shares no mutable
 // storage with the session (rows, windows and bookkeeping are copied), so
-// it remains stable while the session keeps repairing. It must be called
-// from the goroutine that owns the session, like every other method.
+// it remains stable while the session keeps repairing. Snapshots keep the
+// prequential windows as outcomes, so ExportState scores every check still
+// pending in them (at most accuracyWindow forests per attribute, and each
+// only once; see ModelAccuracy): checkpoints, snapshot exports, replica
+// pushes and migrations pay for the checks UserFeedback deferred. Scoring
+// memoizes into the session, so ExportState must be called from the
+// goroutine that owns the session, like every other method.
 func (s *Session) ExportState() *SessionState {
 	st := &SessionState{
 		Config:       s.cfg,
@@ -124,7 +129,12 @@ func (s *Session) ExportState() *SessionState {
 	}
 	sort.Strings(attrs)
 	for _, attr := range attrs {
-		st.Hits = append(st.Hits, AttrHitWindow{Attr: attr, Window: append([]bool(nil), s.hits[attr]...)})
+		m, w := s.models[attr], s.hits[attr]
+		hw := AttrHitWindow{Attr: attr, Window: make([]bool, len(w))}
+		for i := range w {
+			hw.Window[i] = m.Score(&w[i])
+		}
+		st.Hits = append(st.Hits, hw)
 	}
 	return st
 }
@@ -191,7 +201,7 @@ func RestoreSession(st *SessionState) (*Session, error) {
 		attrSigs:     make([]attrSig, db.Schema.Arity()),
 		staleBuf:     make([]bool, db.Schema.Arity()),
 		models:       make(map[string]*learn.Model, len(st.Models)),
-		hits:         make(map[string][]bool, len(st.Hits)),
+		hits:         make(map[string][]learn.Check, len(st.Hits)),
 		predCache:    make(map[predKey]predVal),
 		tupleVer:     make([]uint32, db.N()),
 		initialDirty: st.InitialDirty,
@@ -235,10 +245,22 @@ func RestoreSession(st *SessionState) (*Session, error) {
 		s.models[ms.Attr] = m
 	}
 	for _, hw := range st.Hits {
-		if _, ok := schema.Index(hw.Attr); !ok {
-			return nil, fmt.Errorf("core: hit window for unknown attribute %q", hw.Attr)
+		// A window's checks judge its model's committees, so it needs one.
+		if _, ok := s.models[hw.Attr]; !ok {
+			return nil, fmt.Errorf("core: hit window for attribute %q, which has no model", hw.Attr)
 		}
-		s.hits[hw.Attr] = append([]bool(nil), hw.Window...)
+		if _, dup := s.hits[hw.Attr]; dup {
+			return nil, fmt.Errorf("core: duplicate hit window for attribute %q", hw.Attr)
+		}
+		if len(hw.Window) > accuracyWindow {
+			return nil, fmt.Errorf("core: hit window for attribute %q holds %d checks, more than %d",
+				hw.Attr, len(hw.Window), accuracyWindow)
+		}
+		w := make([]learn.Check, len(hw.Window))
+		for i, hit := range hw.Window {
+			w[i] = learn.ScoredCheck(hit)
+		}
+		s.hits[hw.Attr] = w
 	}
 	s.shuffles = st.Shuffles
 	return s, nil

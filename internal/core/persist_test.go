@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,8 +179,15 @@ func TestRestoreSessionRejectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveRound(t, s, d.Truth)
+	// Drive until some committee's predictions have been checked, so the
+	// state carries a prequential window to damage.
+	for i := 0; i < 10 && len(s.ExportState().Hits) == 0; i++ {
+		driveRound(t, s, d.Truth)
+	}
 	base := s.ExportState()
+	if len(base.Hits) == 0 {
+		t.Fatal("expected a prequential window in the driven session")
+	}
 	corruptions := map[string]func(st *SessionState){
 		"nil state":            func(st *SessionState) { *st = SessionState{} },
 		"row VID out of range": func(st *SessionState) { st.Rows[0][0] = relation.VID(1 << 30) },
@@ -199,6 +207,15 @@ func TestRestoreSessionRejectsCorruptState(t *testing.T) {
 			st.Models[0].State.MinTrain = 1
 		},
 		"negative counters": func(st *SessionState) { st.Applied = -3 },
+		// A window's checks judge its model's committees: one window per
+		// modelled attribute, no longer than the session ever keeps.
+		"duplicate hit window": func(st *SessionState) { st.Hits = append(st.Hits, st.Hits[0]) },
+		"hit window too long": func(st *SessionState) {
+			st.Hits[0].Window = make([]bool, accuracyWindow+1)
+		},
+		"hit window without a model": func(st *SessionState) {
+			st.Models = slices.DeleteFunc(st.Models, func(m AttrModelState) bool { return m.Attr == st.Hits[0].Attr })
+		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {

@@ -131,9 +131,12 @@ type Session struct {
 	// models holds one learner per attribute (M_Ai of Section 4.2).
 	models map[string]*learn.Model
 
-	// hits records, per attribute, whether the model's recent predictions
-	// matched the user's subsequent answers (a sliding window).
-	hits map[string][]bool
+	// hits holds, per attribute, the prequential checks of the model's
+	// recent predictions against the user's answers: a sliding window of
+	// at most accuracyWindow entries, appended by UserFeedback. Entries may
+	// be pending; the readers (ModelAccuracy, ExportState) score them on
+	// demand and memoize the outcome in place.
+	hits map[string][]learn.Check
 
 	// predCache memoizes committee predictions; entries are keyed on the
 	// model generation and the tuple version, so they survive across the
@@ -193,7 +196,7 @@ func NewSession(db *relation.DB, rules []*cfd.CFD, cfg Config) (*Session, error)
 		attrSigs:     make([]attrSig, db.Schema.Arity()),
 		staleBuf:     make([]bool, db.Schema.Arity()),
 		models:       make(map[string]*learn.Model),
-		hits:         make(map[string][]bool),
+		hits:         make(map[string][]learn.Check),
 		predCache:    make(map[predKey]predVal),
 		tupleVer:     make([]uint32, db.N()),
 		initialDirty: eng.DirtyCount(),
@@ -461,41 +464,64 @@ func (s *Session) Features(u repair.Update) (cats []string, sim float64) {
 	return cats, strsim.Similarity(s.db.Get(u.Tid, u.Attr), u.Value)
 }
 
+// example builds the training example a user answer on u contributes.
+func (s *Session) example(u repair.Update, fb repair.Feedback) learn.Example {
+	cats, sim := s.Features(u)
+	return learn.Example{Cats: cats, Sim: sim, Label: feedbackToLabel(fb)}
+}
+
 // LearnFrom adds a user feedback as a training example to the attribute's
 // model. Learner-made decisions must not be fed back (no self-training).
 func (s *Session) LearnFrom(u repair.Update, fb repair.Feedback) {
-	cats, sim := s.Features(u)
-	s.model(u.Attr).Add(learn.Example{Cats: cats, Sim: sim, Label: feedbackToLabel(fb)})
+	s.model(u.Attr).Add(s.example(u, fb))
 }
 
-// UserFeedback records one user answer end to end: the model's current
-// prediction is scored against the answer (the user inherently checks the
-// learner during the session), the feedback becomes a training example
+// UserFeedback records one user answer end to end: the model's prediction
+// for the update is checked against the answer (the user inherently checks
+// the learner during the session), the feedback becomes a training example
 // (step 6 of Procedure 1), and the decision is applied through the
 // consistency manager (step 7).
+//
+// The check is deferred (see learn.Model.AddChecked): when the committee is
+// stale, as it is after every earlier answer, predicting would grow a
+// forest only to produce this one outcome, so the outcome joins the
+// attribute's window pending and is scored only if the window is read
+// before it slides out. The retrain counter still advances as if the
+// committee had been grown, so every committee, question and repair is the
+// one the eager predict-then-learn order gives, and no PhaseRetrain runs.
 func (s *Session) UserFeedback(u repair.Update, fb repair.Feedback) {
-	if label, _, ok := s.Predict(u); ok {
-		w := append(s.hits[u.Attr], label == feedbackToLabel(fb))
-		if len(w) > accuracyWindow {
-			w = w[len(w)-accuracyWindow:]
-		}
-		s.hits[u.Attr] = w
+	if c, ok := s.model(u.Attr).AddChecked(s.example(u, fb)); ok {
+		s.recordCheck(u.Attr, c)
 	}
-	s.LearnFrom(u, fb)
 	s.ApplyFeedback(u, fb)
+}
+
+// recordCheck appends a prequential check to an attribute's window,
+// dropping the oldest beyond accuracyWindow.
+func (s *Session) recordCheck(attr string, c learn.Check) {
+	w := append(s.hits[attr], c)
+	if len(w) > accuracyWindow {
+		w = w[len(w)-accuracyWindow:]
+	}
+	s.hits[attr] = w
 }
 
 // ModelAccuracy returns the prequential accuracy of an attribute's model
 // over the recent user-checked predictions; ok is false until enough
-// predictions have been checked.
+// predictions have been checked. Pending checks in the window are scored
+// here, each growing the committee its answer skipped, and memoized: a
+// check grows at most one forest, and a read at most accuracyWindow.
+// Deferred scoring is not reported as PhaseRetrain: a phase hook may read
+// ModelStats, and scoring inside that phase would call it again.
 func (s *Session) ModelAccuracy(attr string) (acc float64, ok bool) {
 	w := s.hits[attr]
 	if len(w) < minAssessed {
 		return 0, false
 	}
+	m := s.models[attr]
 	good := 0
-	for _, h := range w {
-		if h {
+	for i := range w {
+		if m.Score(&w[i]) {
 			good++
 		}
 	}

@@ -95,6 +95,29 @@ func (s *trainSet) add(ex Example) {
 	s.labels = append(s.labels, uint8(ex.Label))
 }
 
+// prefix returns a view of the first n examples that shares s's codes and
+// value tables. Values that only later examples hold keep their codes but
+// no prefix example uses them: codes are ranked by string, so the trainer
+// meets the prefix's values in the order a set interned from the prefix
+// alone would give them (see Model.Score).
+func (s *trainSet) prefix(n int) trainSet {
+	p := trainSet{vals: s.vals, cols: make([][]int32, len(s.cols)), sims: s.sims[:n:n], labels: s.labels[:n:n]}
+	for f, col := range s.cols {
+		p.cols[f] = col[:n:n]
+	}
+	return p
+}
+
+// codesOf returns example i's categorical values as a query memo with
+// every code already resolved.
+func (s *trainSet) codesOf(i int) *codeMemo {
+	codes := make([]int32, len(s.cols))
+	for f, col := range s.cols {
+		codes[f] = col[i]
+	}
+	return &codeMemo{vals: s.vals, codes: codes}
+}
+
 // examples rebuilds the string form of the training set, in insertion
 // order. Each call returns fresh slices.
 func (s *trainSet) examples() []Example {

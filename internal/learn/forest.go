@@ -159,10 +159,14 @@ func (f *Forest) Predict(cats []string, sim float64) (Label, Votes) {
 	for i := range codes {
 		codes[i] = unresolved
 	}
-	memo := codeMemo{vals: f.vals, cats: cats, codes: codes}
+	return f.vote(&codeMemo{vals: f.vals, cats: cats, codes: codes}, sim)
+}
+
+// vote polls the committee on a query whose codes memo resolves.
+func (f *Forest) vote(memo *codeMemo, sim float64) (Label, Votes) {
 	var v Votes
 	for k := range f.trees {
-		v[f.trees[k].classify(&memo, sim)] += 1
+		v[f.trees[k].classify(memo, sim)] += 1
 	}
 	for i := range v {
 		v[i] /= float64(len(f.trees))
@@ -235,13 +239,20 @@ func (m *Model) Predict(cats []string, sim float64) (label Label, votes Votes, o
 }
 
 // train grows the forest for the current training set and retrain count.
-// The seed varies across retrains (deterministically) so the committee is
-// re-drawn as the training set evolves; because it is a pure function of
-// (Config.Seed, the examples, retrains), a model restored from a snapshot
-// retrains to the byte-identical committee (see RestoreModel).
 func (m *Model) train() {
-	cfg := m.cfg
-	cfg.Seed = cfg.Seed*31 + int64(m.set.len()) + m.retrains
-	m.forest = grow(&m.set, cfg)
+	m.forest = grow(&m.set, m.trainConfig(m.set.len(), m.retrains))
 	m.stale = false
+}
+
+// trainConfig is the forest configuration of the committee grown over n
+// examples at retrain count retrains. The seed varies across retrains
+// (deterministically) so the committee is re-drawn as the training set
+// evolves; because it is a pure function of (Config.Seed, the examples,
+// retrains), a model restored from a snapshot retrains to the
+// byte-identical committee (see RestoreModel), and a pending Check grows
+// the committee its skipped retrain would have grown.
+func (m *Model) trainConfig(n int, retrains int64) Config {
+	cfg := m.cfg
+	cfg.Seed = cfg.Seed*31 + int64(n) + retrains
+	return cfg
 }

@@ -543,3 +543,115 @@ func TestOracleEquivalenceModelStream(t *testing.T) {
 		}
 	}
 }
+
+// TestDeferredCheckOracle feeds randomized streams to a Model through
+// AddChecked and to the string-era model in the eager order — Predict
+// (retraining when stale), then Add — and scores the pending checks at
+// random later times: every outcome must equal the eager prediction's hit,
+// and the retrain counters must advance alike. The streams bring values new
+// to a feature after earlier checks (so codes shift under pending ones),
+// interleave queries (so some committees are fresh and checks score at
+// once), and cover single-class prefixes, NaN and quantized sims, the
+// minTrain boundary, both bootstraps, Workers 1 and 4, and a State /
+// RestoreModel round trip with checks still pending.
+func TestDeferredCheckOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1313))
+	var atOnce, deferred int
+	for trial := 0; trial < 120; trial++ {
+		tc := randomOracleCase(rng, rng.Intn(15))
+		tc.cfg.Unbalanced = trial%2 == 1
+		tc.cfg.Workers = []int{1, 4}[trial/2%2]
+		stream := tc.examples
+		if trial%3 == 0 && len(stream) > 1 {
+			// A single-class prefix: the first committees see one label.
+			for i := range stream[:len(stream)/2] {
+				stream[i].Label = stream[0].Label
+			}
+		}
+		for i := range stream {
+			for f := range stream[i].Cats {
+				if rng.Intn(6) == 0 {
+					// Fresh values sorting first, last or in between.
+					stream[i].Cats[f] = fmt.Sprintf("%c%d", "!~b"[rng.Intn(3)], rng.Intn(40))
+				}
+			}
+		}
+		minTrain := 1 + rng.Intn(6)
+		m := NewModel(tc.cfg, minTrain)
+		om := newOracleModel(tc.cfg, minTrain)
+		type open struct {
+			c    Check
+			want bool
+			at   int
+		}
+		var pending []open
+		scoreSome := func(p float64) {
+			kept := pending[:0]
+			for _, o := range pending {
+				if rng.Float64() >= p {
+					kept = append(kept, o)
+					continue
+				}
+				if got := m.Score(&o.c); got != o.want {
+					t.Fatalf("trial %d: check of example %d scored %v, eager %v", trial, o.at, got, o.want)
+				}
+				if o.c.pending || m.Score(&o.c) != o.want {
+					t.Fatalf("trial %d: check of example %d not memoized", trial, o.at)
+				}
+			}
+			pending = kept
+		}
+		restoreAt := rng.Intn(len(stream) + 1)
+		for i, ex := range stream {
+			if i == restoreAt {
+				var err error
+				if m, err = RestoreModel(m.State()); err != nil {
+					t.Fatalf("trial %d: restore: %v", trial, err)
+				}
+			}
+			if rng.Intn(4) == 0 {
+				q := tc.queries[rng.Intn(len(tc.queries))]
+				gl, gv, gok := m.Predict(q.Cats, q.Sim)
+				wl, wv, wok := om.Predict(q.Cats, q.Sim)
+				if gok != wok {
+					t.Fatalf("trial %d, example %d: ready %v, oracle %v", trial, i, gok, wok)
+				}
+				sameVotes(t, fmt.Sprintf("trial %d, query before example %d", trial, i), gl, gv, wl, wv)
+			}
+			wasFresh := m.Ready() && !m.NeedsRetrain()
+			var want, ready bool
+			if ready = om.Ready(); ready {
+				label, _, _ := om.Predict(ex.Cats, ex.Sim)
+				want = label == ex.Label
+			}
+			om.Add(ex)
+			c, ok := m.AddChecked(ex)
+			if ok != ready {
+				t.Fatalf("trial %d, example %d (minTrain %d): check %v, oracle ready %v", trial, i, minTrain, ok, ready)
+			}
+			if m.retrains != om.retrains {
+				t.Fatalf("trial %d, example %d: retrains %d, oracle %d", trial, i, m.retrains, om.retrains)
+			}
+			if !ok {
+				continue
+			}
+			if c.pending == wasFresh {
+				t.Fatalf("trial %d, example %d: pending %v with a fresh committee %v", trial, i, c.pending, wasFresh)
+			}
+			if c.pending {
+				deferred++
+			} else {
+				atOnce++
+			}
+			pending = append(pending, open{c: c, want: want, at: i})
+			scoreSome(0.15)
+		}
+		scoreSome(1)
+		if m.retrains != om.retrains || m.Len() != len(om.examples) {
+			t.Fatalf("trial %d: len %d retrains %d, oracle %d %d", trial, m.Len(), m.retrains, len(om.examples), om.retrains)
+		}
+	}
+	if atOnce < 100 || deferred < 1000 {
+		t.Fatalf("%d checks scored at once and %d deferred; the streams miss a path", atOnce, deferred)
+	}
+}

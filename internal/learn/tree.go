@@ -25,6 +25,11 @@
 // identical to one grown on the strings. Each tree draws from a copy of
 // math/rand's Go 1 source that yields the same stream but seeds faster (see
 // goSource).
+//
+// The same ranking lets a Model defer the prequential check of a user
+// answer: AddChecked records which committee would have judged it, and
+// Score grows that committee later, if the check is ever read, from a
+// prefix view of the codes (see Check).
 package learn
 
 import (
