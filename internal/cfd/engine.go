@@ -15,9 +15,10 @@ const (
 	wildVID = ^relation.VID(0)
 	// FreshVID stands for a hypothetical value absent from the attribute's
 	// dictionary: it matches no pattern constant and equals no stored value.
-	// WhatIfVID and WouldViolateVID accept it so callers can score updates
-	// whose value has never been seen without interning (interning would
-	// mutate the dictionary, which is not allowed during read-only scoring).
+	// WhatIfVID, AppendWhatIfVID and WouldViolateVID accept it so callers
+	// can score updates whose value has never been seen without interning
+	// (interning would mutate the dictionary, which is not allowed during
+	// read-only scoring).
 	FreshVID = ^relation.VID(0) - 1
 )
 
@@ -29,8 +30,8 @@ const (
 //   - |D ⊨ φ|, the number of tuples satisfying φ,
 //   - |D(φ)|, the number of tuples in the rule's context (matching tp[X]),
 //   - the DirtyTuples set {t : ∃φ, t ⊭ φ}, and
-//   - per-rule version counters so downstream components (the VOI ranker)
-//     can cache per-update benefit computations.
+//   - per-rule version counters, which the session's per-attribute
+//     staleness check reads to decide which ranked groups to re-score.
 //
 // All state is dictionary-encoded: pattern constants are resolved to VIDs at
 // construction, tuples are matched by comparing uint32s, and variable-rule
@@ -188,6 +189,20 @@ func (e *Engine) Rebuild() {
 func (st *ruleState) matchLHS(row []relation.VID) bool {
 	for i, ai := range st.lhsIdx {
 		if p := st.lhsPat[i]; p != wildVID && row[ai] != p {
+			return false
+		}
+	}
+	return true
+}
+
+// matchLHSAt is matchLHS for the row with position ai hypothetically set to v.
+func (st *ruleState) matchLHSAt(row []relation.VID, ai int, v relation.VID) bool {
+	for i, li := range st.lhsIdx {
+		val := row[li]
+		if li == ai {
+			val = v
+		}
+		if p := st.lhsPat[i]; p != wildVID && val != p {
 			return false
 		}
 	}
@@ -523,7 +538,7 @@ func (e *Engine) Sat(ri int) int {
 func (e *Engine) Context(ri int) int { return e.states[ri].ctx }
 
 // Version returns a counter that changes whenever rule ri's state changes;
-// downstream caches key on it.
+// the session compares it across rankings to find stale groups.
 func (e *Engine) Version(ri int) uint64 { return e.states[ri].version }
 
 // RulesInvolving returns the engine indexes of rules mentioning attr.
@@ -694,10 +709,8 @@ func (e *Engine) WouldViolateVID(ri, tid, ai int, v relation.VID) bool {
 		}
 		return row[k]
 	}
-	for i, li := range st.lhsIdx {
-		if p := st.lhsPat[i]; p != wildVID && get(li) != p {
-			return false // out of context: vacuously satisfied
-		}
+	if !st.matchLHSAt(row, ai, v) {
+		return false // out of context: vacuously satisfied
 	}
 	rhs := get(st.rhsIdx)
 	if st.isConst {
@@ -770,21 +783,37 @@ func (e *Engine) WhatIfVID(tid, ai int, v relation.VID) []RuleDelta {
 	return out
 }
 
+// AppendWhatIfVID appends to dst, in engine order, the WhatIfVID deltas of
+// the rules whose context holds tuple tid before or after the hypothetical
+// update, and returns the extended slice. Every other rule involving the
+// attribute keeps its current (Vio, Sat), since the tuple neither enters nor
+// leaves its context, so it is skipped after a few VID compares; a value
+// equal to the cell's current one yields no deltas. It allocates nothing
+// while dst has room and, like WhatIfVID, is safe for concurrent use with
+// other read-only engine calls.
+func (e *Engine) AppendWhatIfVID(dst []RuleDelta, tid, ai int, v relation.VID) []RuleDelta {
+	row := e.db.Row(tid)
+	if row[ai] == v {
+		return dst
+	}
+	for _, si := range e.byAttr[ai] {
+		st := e.states[si]
+		switch {
+		case !st.matchLHS(row) && !st.matchLHSAt(row, ai, v):
+		case st.isConst:
+			dst = append(dst, e.whatIfConstant(si, st, tid, ai, v))
+		default:
+			dst = append(dst, e.whatIfVariable(si, st, tid, ai, v))
+		}
+	}
+	return dst
+}
+
 func (e *Engine) whatIfConstant(si int, st *ruleState, tid, ai int, v relation.VID) RuleDelta {
 	row := e.db.Row(tid)
 	_, violBefore := st.constViol[tid]
 	matchBefore := st.matchLHS(row)
-	matchAfter := true
-	for i, li := range st.lhsIdx {
-		val := row[li]
-		if li == ai {
-			val = v
-		}
-		if p := st.lhsPat[i]; p != wildVID && val != p {
-			matchAfter = false
-			break
-		}
-	}
+	matchAfter := st.matchLHSAt(row, ai, v)
 	rhsAfter := row[st.rhsIdx]
 	if st.rhsIdx == ai {
 		rhsAfter = v

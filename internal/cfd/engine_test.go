@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gdr/internal/relation"
@@ -311,8 +312,15 @@ func TestWhatIfMatchesApply(t *testing.T) {
 			tid := r.Intn(db.N())
 			attr := attrs[r.Intn(len(attrs))]
 			val := vals[r.Intn(len(vals))]
+			switch r.Intn(8) {
+			case 0: // the cell's current value: no change at all
+				val = db.Get(tid, attr)
+			case 1: // a value the dictionary has never seen (FreshVID)
+				val = fmt.Sprintf("fresh-%d-%d", trial, step)
+			}
 
 			predicted := e.WhatIf(tid, attr, val)
+			checkAppendWhatIf(t, e, tid, attr, val, predicted)
 
 			clone := db.Clone()
 			clone.Set(tid, attr, val)
@@ -337,6 +345,41 @@ func TestWhatIfMatchesApply(t *testing.T) {
 				e.Apply(tid, attr, val)
 			}
 		}
+	}
+}
+
+// checkAppendWhatIf checks AppendWhatIfVID against WhatIf's full list for
+// the same update: it must return, in order, exactly the entries of the
+// rules whose context holds the tuple before or after the update (none when
+// the value does not change), and every entry it omits must be the rule's
+// current (Vio, Sat). Context membership is decided on strings by
+// CFD.MatchLHS, independently of the engine's VID matching.
+func checkAppendWhatIf(t *testing.T, e *Engine, tid int, attr, val string, full []RuleDelta) {
+	t.Helper()
+	schema := e.DB().Schema
+	ai := schema.MustIndex(attr)
+	before := e.DB().Tuple(tid)
+	after := append(relation.Tuple(nil), before...)
+	after[ai] = val
+	var want []RuleDelta
+	for _, d := range full {
+		rule := e.Rules()[d.Rule]
+		if val != before[ai] && (rule.MatchLHS(schema, before) || rule.MatchLHS(schema, after)) {
+			want = append(want, d)
+		} else if cur := (RuleDelta{Rule: d.Rule, Vio: e.Vio(d.Rule), Sat: e.Sat(d.Rule)}); d != cur {
+			t.Fatalf("WhatIf(%d,%s,%s) moves rule %s outside the tuple's context: %+v, current %+v",
+				tid, attr, val, rule.ID, d, cur)
+		}
+	}
+	got := e.AppendWhatIfVID(nil, tid, ai, e.lookupVID(ai, val))
+	if !slices.Equal(got, want) {
+		t.Fatalf("AppendWhatIfVID(%d,%s,%s) = %+v, want the in-context WhatIf entries %+v",
+			tid, attr, val, got, want)
+	}
+	// Appending keeps dst's prefix.
+	prefix := []RuleDelta{{Rule: -1}}
+	if got := e.AppendWhatIfVID(prefix, tid, ai, e.lookupVID(ai, val)); !slices.Equal(got, append(prefix, want...)) {
+		t.Fatalf("AppendWhatIfVID(%d,%s,%s) with a prefix = %+v", tid, attr, val, got)
 	}
 }
 

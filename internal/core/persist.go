@@ -20,9 +20,9 @@ import (
 // bookkeeping, the learner state and the deterministic-randomness cursors.
 //
 // Deliberately absent: the violation engine's indexes, the co-occurrence
-// indexes, the similarity memo, the VOI benefit cache and the prediction
-// cache — all are pure functions of the instance and are rebuilt (eagerly
-// or lazily) by RestoreSession. The VOI rule weights are NOT such a cache:
+// indexes, the similarity memo and the prediction cache — all are pure
+// functions of the instance and are rebuilt (eagerly or lazily) by
+// RestoreSession. The VOI rule weights are NOT such a cache:
 // the paper fixes wi = |D(φi)|/|D| on the instance at session start, and
 // the instance has mutated since, so they are carried explicitly.
 type SessionState struct {
@@ -145,8 +145,8 @@ func (s *Session) ExportState() *SessionState {
 // the violation engine and every cache are re-derived from it, trained
 // committees regrow from their recorded seeds, and the fallback shuffle
 // stream is replayed to its recorded position. All cross-references (cell
-// ids, VIDs, rule-weight count, model attributes) are validated so a
-// corrupt or hand-edited snapshot fails with an error, never a panic.
+// ids, VIDs, rule-weight count and range, model attributes) are validated
+// so a corrupt or hand-edited snapshot fails with an error, never a panic.
 func RestoreSession(st *SessionState) (*Session, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil session state")
@@ -183,6 +183,13 @@ func RestoreSession(st *SessionState) (*Session, error) {
 	}
 	if len(st.RuleWeights) != len(st.Rules) {
 		return nil, fmt.Errorf("core: %d rule weights for %d rules", len(st.RuleWeights), len(st.Rules))
+	}
+	for ri, w := range st.RuleWeights {
+		// wi = |D(φi)|/|D| always lies in [0, 1]. A NaN or infinite weight
+		// would turn benefits into NaN, breaking the ranking's total order.
+		if !(w >= 0 && w <= 1) {
+			return nil, fmt.Errorf("core: rule %d weight %v outside [0, 1]", ri, w)
+		}
 	}
 	gen := repair.NewGenerator(eng, repair.WithWorkers(cfg.Workers))
 	if err := gen.RestoreCellState(st.Locked, st.Prevented); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -192,6 +193,11 @@ func TestRestoreSessionRejectsCorruptState(t *testing.T) {
 		"nil state":            func(st *SessionState) { *st = SessionState{} },
 		"row VID out of range": func(st *SessionState) { st.Rows[0][0] = relation.VID(1 << 30) },
 		"short rule weights":   func(st *SessionState) { st.RuleWeights = st.RuleWeights[:1] },
+		// wi = |D(φi)|/|D| lies in [0, 1]; a NaN or infinite weight turns
+		// benefits into NaN and breaks the ranking's strict total order.
+		"NaN rule weight":      func(st *SessionState) { st.RuleWeights[0] = math.NaN() },
+		"infinite rule weight": func(st *SessionState) { st.RuleWeights[0] = math.Inf(1) },
+		"negative rule weight": func(st *SessionState) { st.RuleWeights[0] = -0.5 },
 		"pending out of range": func(st *SessionState) {
 			st.Possible = append(st.Possible, repair.Update{Tid: 1 << 30, Attr: st.Attrs[0]})
 		},

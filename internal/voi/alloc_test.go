@@ -8,11 +8,11 @@ import (
 	"gdr/internal/voi"
 )
 
-// TestWarmScorePathZeroAlloc pins the steady-state scoring path — RawBenefit
-// with a warm, version-fresh cache — to zero allocations per call. This is
-// the inner loop of every group re-ranking between feedback rounds; the CI
-// bench-smoke step runs this test so string churn can't silently creep back
-// into it.
+// TestWarmScorePathZeroAlloc pins the scoring path — RawBenefit, which
+// folds the in-context rules' WhatIf deltas from a stack buffer — to zero
+// allocations per call. This is the inner loop of every group re-ranking
+// between feedback rounds; the CI alloc-guard step runs this test so string
+// churn or a heap-allocated delta list can't silently creep back into it.
 func TestWarmScorePathZeroAlloc(t *testing.T) {
 	if par.RaceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -26,15 +26,12 @@ func TestWarmScorePathZeroAlloc(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no updates to score")
 	}
-	for _, u := range ups { // warm the cache
-		r.RawBenefit(u)
-	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.RawBenefit(ups[i%len(ups)])
 		i++
 	})
 	if allocs > 0 {
-		t.Fatalf("warm RawBenefit allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("RawBenefit allocates %.1f times per call, want 0", allocs)
 	}
 }

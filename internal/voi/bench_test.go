@@ -51,9 +51,11 @@ phi3: Zip -> City :: 46360 || Michigan City
 	return e, group.Partition(ups)
 }
 
-// BenchmarkRank measures Eq. 6 group ranking over the initial update pool.
-// After the first iteration the benefit cache is warm, so the steady-state
-// figure reflects the cached scoring path plus the sort.
+// BenchmarkRank measures Eq. 6 group ranking over the initial update pool:
+// every iteration re-scores every update against unchanged state, then
+// sorts. Sessions never re-score unchanged state (their group index
+// re-scores only groups whose inputs moved), so this is the cost of a full
+// re-rank, not of a session's steady state.
 func BenchmarkRank(b *testing.B) {
 	eng, gs := benchSetup(b, 5000)
 	r := voi.NewRanker(eng)
@@ -64,18 +66,15 @@ func BenchmarkRank(b *testing.B) {
 	}
 }
 
-// BenchmarkRawBenefitWarm measures the fully cached per-update scoring path —
-// the inner loop of every group re-ranking between feedback rounds. This is
-// the path the CI alloc guard pins to zero allocations.
+// BenchmarkRawBenefitWarm measures the per-update scoring path on a built
+// engine — the inner loop of every group re-ranking between feedback
+// rounds. This is the path the CI alloc guard pins to zero allocations.
 func BenchmarkRawBenefitWarm(b *testing.B) {
 	eng, gs := benchSetup(b, 5000)
 	r := voi.NewRanker(eng)
 	var ups []repair.Update
 	for _, g := range gs {
 		ups = append(ups, g.Updates...)
-	}
-	for _, u := range ups { // warm the cache
-		r.RawBenefit(u)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -84,9 +83,9 @@ func BenchmarkRawBenefitWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkRankCold measures one full cold ranking pass: a fresh ranker
-// scores every pending update once (all WhatIf deltas recomputed), as happens
-// at session start and after large cascading repairs.
+// BenchmarkRankCold measures one full ranking pass by a fresh ranker: rule
+// weights computed, then every pending update scored once and the groups
+// sorted, as at session start.
 func BenchmarkRankCold(b *testing.B) {
 	eng, gs := benchSetup(b, 5000)
 	b.ReportAllocs()

@@ -59,9 +59,9 @@ func TestRankParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRankParallelConcurrentCache hammers the sharded benefit cache from
-// many goroutines over repeated rankings (meaningful under -race).
-func TestRankParallelConcurrentCache(t *testing.T) {
+// TestRankParallelConcurrentScoring scores from many goroutines over
+// repeated rankings of one ranker (meaningful under -race).
+func TestRankParallelConcurrentScoring(t *testing.T) {
 	eng, gs := buildRankFixture(t)
 	r := NewRanker(eng)
 	for pass := 0; pass < 10; pass++ {
@@ -71,7 +71,7 @@ func TestRankParallelConcurrentCache(t *testing.T) {
 	NewRanker(serialEng).Rank(serialGs, ScoreProb)
 	for i := range gs {
 		if gs[i].Benefit != serialGs[i].Benefit {
-			t.Fatalf("cached parallel benefit diverged at group %d", i)
+			t.Fatalf("repeated parallel benefit diverged at group %d", i)
 		}
 	}
 }

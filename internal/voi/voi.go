@@ -8,8 +8,9 @@
 // algorithm's) probability that rj is correct, vio is the violation count of
 // Definition 1, and |D^rj ⊨ φi| counts context tuples satisfying φi after
 // hypothetically applying rj. The hypothetical counts come from the
-// violation engine's WhatIf, so no database copy is ever made; per-update
-// terms are cached and invalidated by rule version counters.
+// violation engine's WhatIf, so no database copy is ever made, and only the
+// rules whose context holds the updated tuple before or after the update
+// are evaluated: every other rule's term is zero.
 package voi
 
 import (
@@ -29,36 +30,20 @@ type Prob func(repair.Update) float64
 // evaluation score assigned by the repairing algorithm.
 func ScoreProb(u repair.Update) float64 { return u.Score }
 
-// Ranker scores update groups with Eq. 6. Its benefit cache is lock-striped
-// (par.Cache), so RawBenefit and GroupBenefit may be called from multiple
-// goroutines as long as the engine is not mutated concurrently (scoring is
-// read-only).
+// Ranker scores update groups with Eq. 6. Scoring is a pure read of the
+// engine and the rule weights, so RawBenefit and GroupBenefit may be called
+// from multiple goroutines as long as the engine is not mutated
+// concurrently.
 type Ranker struct {
 	eng     *cfd.Engine
 	db      *relation.DB
 	weights []float64
-
-	cache *par.Cache[cacheKey, *cacheEntry]
 }
 
-// cacheKey addresses one hypothetical update by integers only — tuple id,
-// attribute position and the suggested value's interned id — so cache
-// probes hash three words instead of two strings.
-type cacheKey struct {
-	tid int
-	ai  int32
-	vid relation.VID
-}
-
-type cacheEntry struct {
-	raw      float64
-	rules    []int
-	versions []uint64
-}
-
-// maxCacheEntries bounds the benefit cache (entries are tiny, but sessions
-// can generate many distinct updates).
-const maxCacheEntries = 1 << 17
+// scoreBufLen sizes RawBenefit's stack buffer of rule deltas. Only a few
+// rules hold any one tuple in their context, so the buffer spills to the
+// heap only on pathological rule sets.
+const scoreBufLen = 32
 
 // Option configures a Ranker.
 type Option func(*Ranker)
@@ -72,7 +57,7 @@ func WithWeights(w []float64) Option {
 // follow the paper's experimental choice wi = |D(φi)|/|D|, computed on the
 // instance at construction time.
 func NewRanker(eng *cfd.Engine, opts ...Option) *Ranker {
-	r := &Ranker{eng: eng, db: eng.DB(), cache: par.NewCache[cacheKey, *cacheEntry](maxCacheEntries)}
+	r := &Ranker{eng: eng, db: eng.DB()}
 	for _, o := range opts {
 		o(r)
 	}
@@ -95,56 +80,29 @@ func (r *Ranker) Weight(ri int) float64 { return r.weights[ri] }
 //
 //	Σ_{φi} wi · (vio(D,{φi}) − vio(D^rj,{φi})) / |D^rj ⊨ φi|
 //
-// Only rules involving the update's attribute can contribute. A zero
-// satisfaction count after the update is guarded to 1, as the paper's
-// quotient is undefined there (no tuple would satisfy the rule either way).
+// Only rules involving the update's attribute whose context holds the tuple
+// before or after the update are summed (Engine.AppendWhatIfVID). Any other
+// rule keeps its violation count, so its term is wi·0/|D ⊨ φi| = ±0.0, and
+// adding a zero to a sum that starts at +0.0 never changes its bits while
+// wi is finite: skipping those rules leaves every benefit bit-identical to
+// the sum over all involved rules. A zero satisfaction count after the
+// update is guarded to 1, as the paper's quotient is undefined there (no
+// tuple would satisfy the rule either way).
 func (r *Ranker) RawBenefit(u repair.Update) float64 {
 	ai := r.db.Schema.MustIndex(u.Attr)
 	vid, known := r.db.LookupVID(ai, u.Value)
 	if !known {
-		// The suggested value has never been seen by this instance (possible
-		// only for caller-synthesized updates — the generator only proposes
-		// interned values). Score it without caching: interning here would
-		// mutate the dictionary under concurrent read-only scoring, and
-		// FreshVID cannot serve as a cache key (distinct unseen values would
-		// collide).
-		return r.rawFromDeltas(r.eng.WhatIfVID(u.Tid, ai, cfd.FreshVID))
+		// Possible only for caller-synthesized updates (the generator only
+		// proposes interned values). Interning here would mutate the
+		// dictionary under concurrent read-only scoring.
+		vid = cfd.FreshVID
 	}
-	key := cacheKey{tid: u.Tid, ai: int32(ai), vid: vid}
-	if e, ok := r.cache.Get(key); ok && r.fresh(e) {
-		return e.raw
-	}
-	involved := r.eng.RulesInvolvingAt(ai)
-	deltas := r.eng.WhatIfVID(u.Tid, ai, vid)
-	entry := &cacheEntry{rules: involved, versions: make([]uint64, len(involved))}
-	for i, ri := range involved {
-		entry.versions[i] = r.eng.Version(ri)
-	}
-	entry.raw = r.rawFromDeltas(deltas)
-	r.cache.Put(key, entry)
-	return entry.raw
-}
-
-// rawFromDeltas folds WhatIf deltas into the Eq. 6 probability-free sum.
-func (r *Ranker) rawFromDeltas(deltas []cfd.RuleDelta) float64 {
+	var buf [scoreBufLen]cfd.RuleDelta
 	raw := 0.0
-	for _, d := range deltas {
-		sat := d.Sat
-		if sat < 1 {
-			sat = 1
-		}
-		raw += r.weights[d.Rule] * float64(r.eng.Vio(d.Rule)-d.Vio) / float64(sat)
+	for _, d := range r.eng.AppendWhatIfVID(buf[:0], u.Tid, ai, vid) {
+		raw += r.weights[d.Rule] * float64(r.eng.Vio(d.Rule)-d.Vio) / float64(max(d.Sat, 1))
 	}
 	return raw
-}
-
-func (r *Ranker) fresh(e *cacheEntry) bool {
-	for i, ri := range e.rules {
-		if r.eng.Version(ri) != e.versions[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // GroupBenefit computes E[g(c)] of Eq. 6 for a group, using prob for p̃j.
@@ -171,9 +129,9 @@ func (r *Ranker) RankParallel(gs []*group.Group, prob Prob, workers int) {
 
 // ScoreGroups computes Eq. 6 benefits for the given groups without sorting
 // them — the re-score half of ranking, which the incremental group index
-// applies to dirty groups only. Scoring is read-only against the engine and
-// the benefit cache is sharded, so the only requirement for workers > 1 is
-// that prob be safe for concurrent calls (a warmed memo, or a pure function
+// applies to dirty groups only. Scoring is read-only against the engine, so
+// the only requirement for workers > 1 is that prob be safe for concurrent
+// calls (a warmed memo, or a pure function
 // like ScoreProb). Each group's sum is accumulated in update order, so the
 // resulting benefits — and therefore any ranking built from them — are
 // bit-identical to the serial path at any worker count.

@@ -118,14 +118,16 @@ func TestRankOrdersByBenefit(t *testing.T) {
 	}
 }
 
-func TestRawBenefitCacheInvalidation(t *testing.T) {
+// TestRawBenefitTracksApply checks that RawBenefit reads the engine's
+// current state: a repair elsewhere in φ1's context moves the benefit of an
+// unchanged update to what a fresh ranker computes.
+func TestRawBenefitTracksApply(t *testing.T) {
 	e, g, _ := workedExample(t)
 	r := NewRanker(e)
 	u := g.Updates[0]
 	before := r.RawBenefit(u)
-	// Cached value is returned when nothing changed.
 	if again := r.RawBenefit(u); !almost(before, again) {
-		t.Fatalf("cache changed a stable value: %v vs %v", before, again)
+		t.Fatalf("re-scoring unchanged state changed the value: %v vs %v", before, again)
 	}
 	// Fix one of the other violating tuples: vio(D,{φ1}) drops to 3 and the
 	// satisfied count rises, so the benefit of u must change.
@@ -133,7 +135,7 @@ func TestRawBenefitCacheInvalidation(t *testing.T) {
 	after := r.RawBenefit(u)
 	fresh := NewRanker(e, WithWeights(weightsOf(r, e)))
 	if want := fresh.RawBenefit(u); !almost(after, want) {
-		t.Fatalf("stale cache: %v, fresh ranker says %v", after, want)
+		t.Fatalf("benefit after repair %v, fresh ranker says %v", after, want)
 	}
 	if almost(before, after) {
 		t.Fatalf("benefit should have changed after repair (%v)", before)
