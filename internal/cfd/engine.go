@@ -31,7 +31,11 @@ const (
 //   - |D(φ)|, the number of tuples in the rule's context (matching tp[X]),
 //   - the DirtyTuples set {t : ∃φ, t ⊭ φ}, and
 //   - per-rule version counters, which the session's per-attribute
-//     staleness check reads to decide which ranked groups to re-score.
+//     staleness check reads to decide which ranked groups to re-score, and
+//   - a context index, built once from the rules: every rule is filed under
+//     the VID of its first constant LHS position, so a row reaches only the
+//     rules whose context can hold it (see candidates). Scoring, Apply,
+//     Insert, the dirty checks and Rebuild all visit those rules alone.
 //
 // All state is dictionary-encoded: pattern constants are resolved to VIDs at
 // construction, tuples are matched by comparing uint32s, and variable-rule
@@ -46,11 +50,15 @@ type Engine struct {
 	byAttr [][]int // attribute position -> indexes into states
 	byID   map[string]int
 	dirty  map[int]struct{}
+	ctx    ctxIndex
 }
 
 type ruleState struct {
 	rule    *CFD
 	isConst bool // rule.Constant(), cached: the tableau is a map probe
+	// selOnly: the LHS carries no constant besides the context index's
+	// selector, so every candidate the index offers for a row holds it.
+	selOnly bool
 	lhsIdx  []int
 	lhsPat  []relation.VID // wildVID for wildcard positions
 	rhsIdx  int
@@ -103,6 +111,7 @@ func NewEngine(db *relation.DB, rules []*CFD) (*Engine, error) {
 		}
 		e.byID[r.ID] = si
 		st := &ruleState{rule: r, isConst: r.Constant(), rhsIdx: db.Schema.MustIndex(r.RHS)}
+		consts := 0
 		for _, a := range r.LHS {
 			ai := db.Schema.MustIndex(a)
 			st.lhsIdx = append(st.lhsIdx, ai)
@@ -110,9 +119,11 @@ func NewEngine(db *relation.DB, rules []*CFD) (*Engine, error) {
 				st.lhsPat = append(st.lhsPat, wildVID)
 			} else {
 				st.lhsPat = append(st.lhsPat, db.Intern(ai, p))
+				consts++
 			}
 			e.byAttr[ai] = append(e.byAttr[ai], si)
 		}
+		st.selOnly = consts <= 1
 		e.byAttr[st.rhsIdx] = append(e.byAttr[st.rhsIdx], si)
 		if r.Constant() {
 			st.rhsPat = db.Intern(st.rhsIdx, r.TP[r.RHS])
@@ -122,6 +133,7 @@ func NewEngine(db *relation.DB, rules []*CFD) (*Engine, error) {
 		}
 		e.states = append(e.states, st)
 	}
+	e.ctx = newCtxIndex(e.states, e.byAttr)
 	e.Rebuild()
 	return e, nil
 }
@@ -173,9 +185,10 @@ func (e *Engine) Rebuild() {
 			st.violTuples = 0
 		}
 	}
+	var cb [candBufLen]int32
 	for tid := 0; tid < e.db.N(); tid++ {
-		for _, st := range e.states {
-			e.addTuple(st, tid)
+		for _, si := range e.candidates(cb[:0], e.db.Row(tid), -1, 0) {
+			e.addTuple(e.states[si], tid)
 		}
 	}
 	for tid := 0; tid < e.db.N(); tid++ {
@@ -301,7 +314,10 @@ func (e *Engine) removeTuple(st *ruleState, tid int) {
 // Co-bucket members of a variable rule violate it iff their bucket holds two
 // or more distinct RHS values, so their status can only change when a bucket
 // crosses that uniform↔mixed boundary; Apply re-evaluates members only on
-// such transitions, keeping the common case O(rules involving attr).
+// such transitions. Only the rules whose context can hold the tuple before
+// or after the update are touched (the context index's candidates); every
+// rule involving attr still gets its version bumped, since the session's
+// attribute staleness reads those counters.
 func (e *Engine) Apply(tid int, attr, value string) []int {
 	ai := e.db.Schema.MustIndex(attr)
 	return e.ApplyVID(tid, ai, e.db.Intern(ai, value))
@@ -309,10 +325,17 @@ func (e *Engine) Apply(tid int, attr, value string) []int {
 
 // ApplyVID is Apply for an already-interned value id.
 func (e *Engine) ApplyVID(tid, ai int, v relation.VID) []int {
-	old := e.db.VIDAt(tid, ai)
-	if old == v {
+	row := e.db.Row(tid)
+	if row[ai] == v {
 		return []int{tid}
 	}
+	for _, si := range e.byAttr[ai] {
+		e.states[si].version++
+	}
+	// One candidate list covers both sides of the update: the row is
+	// updated in place, and every rule outside the list keeps its state.
+	var cb [candBufLen]int32
+	cands := e.candidates(cb[:0], row, ai, v)
 	recheck := map[int]struct{}{tid: {}}
 	type watch struct {
 		st    *ruleState
@@ -328,29 +351,23 @@ func (e *Engine) ApplyVID(tid, ai int, v relation.VID) []int {
 		}
 	}
 	var kb [relation.KeyBufSize]byte
-	for _, si := range e.byAttr[ai] {
-		st := e.states[si]
-		st.version++
-		if st.isConst {
-			continue
-		}
-		if row := e.db.Row(tid); st.matchLHS(row) {
+	for _, si := range cands {
+		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
 			note(st, string(st.key(kb[:0], row)))
 		}
 	}
-	for _, si := range e.byAttr[ai] {
+	for _, si := range cands {
 		e.removeTuple(e.states[si], tid)
 	}
 	e.db.SetVIDAt(tid, ai, v)
 	// Record the target buckets' mixedness before re-inserting the tuple so
 	// a uniform→mixed transition caused by the insertion is visible below.
-	for _, si := range e.byAttr[ai] {
-		st := e.states[si]
-		if row := e.db.Row(tid); !st.isConst && st.matchLHS(row) {
+	for _, si := range cands {
+		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
 			note(st, string(st.key(kb[:0], row)))
 		}
 	}
-	for _, si := range e.byAttr[ai] {
+	for _, si := range cands {
 		e.addTuple(e.states[si], tid)
 	}
 	for _, w := range watches {
@@ -403,9 +420,14 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 		mixed bool
 	}
 	var watches []watch
-	var kb [relation.KeyBufSize]byte
 	for _, st := range e.states {
 		st.version++
+	}
+	var cb [candBufLen]int32
+	cands := e.candidates(cb[:0], row, -1, 0)
+	var kb [relation.KeyBufSize]byte
+	for _, si := range cands {
+		st := e.states[si]
 		if st.isConst || !st.matchLHS(row) {
 			continue
 		}
@@ -416,8 +438,8 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 		}
 		watches = append(watches, watch{st, key, mixed})
 	}
-	for _, st := range e.states {
-		e.addTuple(st, tid)
+	for _, si := range cands {
+		e.addTuple(e.states[si], tid)
 	}
 	for _, w := range watches {
 		b := w.st.buckets[w.key]
@@ -444,9 +466,12 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 	return tid, affected, nil
 }
 
-// violatesAny reports whether tuple tid violates at least one rule.
+// violatesAny reports whether tuple tid violates at least one rule. A rule
+// can only be violated by a tuple its context holds, so the candidates
+// suffice.
 func (e *Engine) violatesAny(tid int) bool {
-	for si := range e.states {
+	var cb [candBufLen]int32
+	for _, si := range e.candidates(cb[:0], e.db.Row(tid), -1, 0) {
 		if e.violates(e.states[si], tid) {
 			return true
 		}
@@ -474,9 +499,10 @@ func (e *Engine) Violates(ri, tid int) bool { return e.violates(e.states[ri], ti
 // the t.vioRuleList of Appendix A.
 func (e *Engine) VioRuleList(tid int) []int {
 	var out []int
-	for si := range e.states {
+	var cb [candBufLen]int32
+	for _, si := range e.candidates(cb[:0], e.db.Row(tid), -1, 0) {
 		if e.violates(e.states[si], tid) {
-			out = append(out, si)
+			out = append(out, int(si))
 		}
 	}
 	return out
@@ -787,8 +813,10 @@ func (e *Engine) WhatIfVID(tid, ai int, v relation.VID) []RuleDelta {
 // the rules whose context holds tuple tid before or after the hypothetical
 // update, and returns the extended slice. Every other rule involving the
 // attribute keeps its current (Vio, Sat), since the tuple neither enters nor
-// leaves its context, so it is skipped after a few VID compares; a value
-// equal to the cell's current one yields no deltas. It allocates nothing
+// leaves its context: the context index never offers it, and the few
+// candidates it does offer are confirmed with a few VID compares where
+// their LHS has constants beyond the index's selector. A value equal to
+// the cell's current one yields no deltas. It allocates nothing
 // while dst has room and, like WhatIfVID, is safe for concurrent use with
 // other read-only engine calls.
 func (e *Engine) AppendWhatIfVID(dst []RuleDelta, tid, ai int, v relation.VID) []RuleDelta {
@@ -796,14 +824,17 @@ func (e *Engine) AppendWhatIfVID(dst []RuleDelta, tid, ai int, v relation.VID) [
 	if row[ai] == v {
 		return dst
 	}
-	for _, si := range e.byAttr[ai] {
+	var cb [candBufLen]int32
+	for _, si := range e.candidates(cb[:0], row, ai, v) {
 		st := e.states[si]
 		switch {
-		case !st.matchLHS(row) && !st.matchLHSAt(row, ai, v):
+		// A rule with no constant besides its selector was offered because
+		// its selector matches the row before or after: no need to check.
+		case !st.selOnly && !st.matchLHS(row) && !st.matchLHSAt(row, ai, v):
 		case st.isConst:
-			dst = append(dst, e.whatIfConstant(si, st, tid, ai, v))
+			dst = append(dst, e.whatIfConstant(int(si), st, tid, ai, v))
 		default:
-			dst = append(dst, e.whatIfVariable(si, st, tid, ai, v))
+			dst = append(dst, e.whatIfVariable(int(si), st, tid, ai, v))
 		}
 	}
 	return dst

@@ -145,8 +145,9 @@ func (s *Session) ExportState() *SessionState {
 // the violation engine and every cache are re-derived from it, trained
 // committees regrow from their recorded seeds, and the fallback shuffle
 // stream is replayed to its recorded position. All cross-references (cell
-// ids, VIDs, rule-weight count and range, model attributes) are validated
-// so a corrupt or hand-edited snapshot fails with an error, never a panic.
+// ids, VIDs, rule-weight count and range, update scores, model attributes)
+// are validated so a corrupt or hand-edited snapshot fails with an error,
+// never a panic.
 func RestoreSession(st *SessionState) (*Session, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil session state")
@@ -221,6 +222,13 @@ func RestoreSession(st *SessionState) (*Session, error) {
 		}
 		if _, ok := schema.Index(u.Attr); !ok {
 			return nil, fmt.Errorf("core: pending update for unknown attribute %q", u.Attr)
+		}
+		// sj lies in [0, 1], and until a committee is ready it is p̃j
+		// itself (Session.Prob). A NaN or infinite score would turn a
+		// benefit into NaN or ±Inf, breaking the ranking's total order.
+		if !(u.Score >= 0 && u.Score <= 1) {
+			return nil, fmt.Errorf("core: pending update for tuple %d attribute %q: score %v outside [0, 1]",
+				u.Tid, u.Attr, u.Score)
 		}
 		s.index.Set(u)
 	}

@@ -198,6 +198,11 @@ func TestRestoreSessionRejectsCorruptState(t *testing.T) {
 		"NaN rule weight":      func(st *SessionState) { st.RuleWeights[0] = math.NaN() },
 		"infinite rule weight": func(st *SessionState) { st.RuleWeights[0] = math.Inf(1) },
 		"negative rule weight": func(st *SessionState) { st.RuleWeights[0] = -0.5 },
+		// sj lies in [0, 1] and is p̃j until a committee is ready; a NaN
+		// or infinite one breaks the ranking's strict total order too.
+		"NaN update score":      func(st *SessionState) { st.Possible[0].Score = math.NaN() },
+		"infinite update score": func(st *SessionState) { st.Possible[0].Score = math.Inf(1) },
+		"update score above 1":  func(st *SessionState) { st.Possible[0].Score = 1.5 },
 		"pending out of range": func(st *SessionState) {
 			st.Possible = append(st.Possible, repair.Update{Tid: 1 << 30, Attr: st.Attrs[0]})
 		},

@@ -143,6 +143,8 @@ type Session struct {
 	// many pool re-rankings of active learning and VOI scoring.
 	predCache map[predKey]predVal
 	tupleVer  []uint32
+	// cats is Predict's feature scratch, reused across calls.
+	cats []string
 
 	// shuffles counts the Groups(OrderRandom, nil) fallback shuffles so
 	// far. Each shuffle draws from a fresh RNG derived from (Config.Seed,
@@ -457,11 +459,22 @@ func (s *Session) model(attr string) *learn.Model {
 // value as categorical features, plus R(t[Ai], v) as the numeric
 // relationship feature. It must be called before the update is applied.
 func (s *Session) Features(u repair.Update) (cats []string, sim float64) {
-	t := s.db.Tuple(u.Tid)
-	cats = make([]string, 0, len(t)+1)
-	cats = append(cats, t...)
-	cats = append(cats, u.Value)
-	return cats, strsim.Similarity(s.db.Get(u.Tid, u.Attr), u.Value)
+	return s.appendCats(make([]string, 0, s.db.Schema.Arity()+1), u), s.similarity(u)
+}
+
+// appendCats appends the categorical features of u to dst: the tuple's
+// current values, read straight from the dictionaries, then the suggested
+// value.
+func (s *Session) appendCats(dst []string, u repair.Update) []string {
+	for ai, v := range s.db.Row(u.Tid) {
+		dst = append(dst, s.db.Dict(ai).Val(v))
+	}
+	return append(dst, u.Value)
+}
+
+// similarity is the relationship feature R(t[Ai], v) of an update.
+func (s *Session) similarity(u repair.Update) float64 {
+	return strsim.Similarity(s.db.Get(u.Tid, u.Attr), u.Value)
 }
 
 // example builds the training example a user answer on u contributes.
@@ -540,12 +553,17 @@ type predKey struct {
 	value string
 }
 
+// predVal is a memoized prediction. sim, the update's relationship
+// feature, depends only on the cell's value and the suggested one, so it
+// stays valid while tupleVer matches even after the model retrains. The
+// fields are ordered largest first, which keeps the entry at 56 bytes.
 type predVal struct {
-	label    learn.Label
 	votes    learn.Votes
-	ok       bool
 	modelGen int64
+	sim      float64
+	label    learn.Label
 	tupleVer uint32
+	ok       bool
 }
 
 // maxPredCache bounds the prediction cache; it is reset when full.
@@ -558,10 +576,20 @@ func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 	m := s.model(u.Attr)
 	key := predKey{cell: u.Cell(), value: u.Value}
 	ver := s.tupleVer[u.Tid]
-	if v, hit := s.predCache[key]; hit && v.modelGen == m.Gen() && v.tupleVer == ver {
+	v, hit := s.predCache[key]
+	hit = hit && v.tupleVer == ver
+	if hit && v.modelGen == m.Gen() {
 		return v.label, v.votes, v.ok
 	}
-	cats, sim := s.Features(u)
+	sim := v.sim
+	if !hit {
+		sim = s.similarity(u)
+	}
+	// The committee only reads the features, so the serial path builds
+	// them in a reused buffer (probFrozen, which runs concurrently, does
+	// not).
+	s.cats = s.appendCats(s.cats[:0], u)
+	cats := s.cats
 	var label learn.Label
 	var votes learn.Votes
 	var ok bool
@@ -580,7 +608,7 @@ func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 	if len(s.predCache) >= maxPredCache {
 		s.predCache = make(map[predKey]predVal)
 	}
-	s.predCache[key] = predVal{label: label, votes: votes, ok: ok, modelGen: m.Gen(), tupleVer: ver}
+	s.predCache[key] = predVal{label: label, votes: votes, ok: ok, modelGen: m.Gen(), tupleVer: ver, sim: sim}
 	return label, votes, ok
 }
 

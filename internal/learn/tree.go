@@ -534,39 +534,35 @@ func (g *grower) splitCat(ni int32, depth, lo, hi, f int) {
 	idx := g.bufs[depth][lo:hi]
 	next := g.buf(depth + 1)
 	col := g.in.set.cols[f]
-	seen := g.seen[:0]
+	base, last := col[idx[0]], col[idx[0]]
 	for _, i := range idx {
 		c := col[i]
-		if g.tot[c] == 0 {
-			seen = append(seen, c)
-		}
+		base, last = min(base, c), max(last, c)
 		g.tot[c]++
 	}
-	slices.Sort(seen)
-	base := seen[0]
-	span := seen[len(seen)-1] - base + 1
+	span := last - base + 1
 	kbase := int32(len(g.kids))
 	for s := int32(0); s < span; s++ {
 		g.kids = append(g.kids, -1)
 	}
 	// Until the children exist, a present code's child slot holds the end
-	// of its partition (always >= 1), and tot[c] its write cursor.
+	// of its partition (always >= 1), and tot[c] its write cursor. Walking
+	// the codes in ascending order lays the partitions out as sorting the
+	// present codes would, without the sort.
 	at := int32(lo)
-	for _, c := range seen {
-		n := g.tot[c]
-		g.tot[c] = at
-		at += n
-		g.kids[kbase+c-base] = at
+	for c := base; c <= last; c++ {
+		if n := g.tot[c]; n > 0 {
+			g.tot[c] = at
+			at += n
+			g.kids[kbase+c-base] = at
+		}
 	}
 	for _, i := range idx {
 		c := col[i]
 		next[g.tot[c]] = i
 		g.tot[c]++
 	}
-	for _, c := range seen {
-		g.tot[c] = 0
-	}
-	g.seen = seen
+	clear(g.tot[base : last+1])
 	g.nodes[ni].feat = int32(f)
 	g.nodes[ni].lo, g.nodes[ni].base, g.nodes[ni].span = kbase, base, span
 	start := lo

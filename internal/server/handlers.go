@@ -394,7 +394,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	var resp FeedbackResponse
-	var replay []byte
+	// body holds the response rendered once: on the actor when the dedup
+	// window stores it, else after; a replay sends the stored bytes.
+	var body []byte
+	var encErr error
+	replay := false
 	err := e.actor.do(r.Context(), "feedback", func(sess *core.Session) {
 		// Exactly-once retries: a request id seen within the dedup window
 		// replays the original response bytes without touching the session.
@@ -403,15 +407,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		// encoded later on this goroutine always captures state, watermark
 		// and window in a mutually consistent cut.
 		if reqID != "" {
-			if body, ok := e.dedup.get(reqID); ok {
-				replay = body
+			if body, replay = e.dedup.get(reqID); replay {
 				return
 			}
 		}
 		resp = applyFeedbackBatch(sess, req)
 		e.mutSeq.Add(1)
 		if reqID != "" {
-			if body, merr := marshalJSONBody(resp); merr == nil {
+			if body, encErr = marshalJSONBody(resp); encErr == nil {
 				e.dedup.put(reqID, body)
 			}
 		}
@@ -420,11 +423,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if replay != nil {
+	if replay {
 		s.reg.Counter("gdrd_feedback_duplicates_total").Inc()
 		w.Header().Set(DuplicateHeader, "1")
-		writeJSONBytes(w, http.StatusOK, replay)
+		writeJSONBytes(w, http.StatusOK, body)
 		return
+	}
+	if body == nil && encErr == nil {
+		body, encErr = marshalJSONBody(resp)
 	}
 	// Make the round durable before answering: once the client sees this
 	// response, a daemon crash must not lose the feedback. A failed write
@@ -454,7 +460,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("gdrd_feedback_stale_total").Add(stale)
 	s.reg.Counter("gdrd_feedback_invalid_total").Add(invalid)
 	s.reg.Counter("gdrd_learner_decisions_total").Add(int64(len(resp.LearnerDecisions)))
-	writeJSON(w, http.StatusOK, resp)
+	if encErr != nil {
+		writeEncodeError(w, encErr)
+		return
+	}
+	writeJSONBytes(w, http.StatusOK, body)
 }
 
 // applyFeedbackBatch runs on the session's actor goroutine.

@@ -336,6 +336,8 @@ type statusRecorder struct {
 	status      int
 	trace       *obs.Trace
 	wroteHeader bool
+	// encodeErr is a response body's encoding error (see writeEncodeError).
+	encodeErr error
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -434,6 +436,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, trace: t}
 		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
+		if rec.encodeErr != nil {
+			s.log.ErrorContext(r.Context(), "encoding response failed",
+				"route", route, "trace_id", t.ID(), "err", rec.encodeErr)
+		}
 		s.reg.Counter("gdrd_http_requests_total").Inc()
 		// Only server faults count as errors: 4xx is client misuse, and a
 		// 503 shed (Retry-After present) is the server protecting itself —
@@ -616,18 +622,33 @@ func errExpiredQueued() error {
 	}
 }
 
-// writeJSON sends one response body.
+// writeJSON sends one response body, rendered once before the status goes
+// out.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
+	b, err := marshalJSONBody(body)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeJSONBytes(w, status, b)
 }
 
-// marshalJSONBody renders a body to the exact bytes writeJSON would send
-// (same encoder settings, trailing newline included) — the dedup window
-// stores these so a replayed response is byte-identical to the original.
+// writeEncodeError answers a response body that could not be encoded: a
+// server fault, so 500 with an ErrorBody. The error is noted on the
+// request's statusRecorder, which logs it once the handler returns.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.encodeErr = err
+	}
+	// An ErrorBody holds one string, which always encodes.
+	b, _ := marshalJSONBody(ErrorBody{Error: fmt.Sprintf("server: encoding response: %v", err)})
+	writeJSONBytes(w, http.StatusInternalServerError, b)
+}
+
+// marshalJSONBody renders a body to the bytes writeJSON sends (escaping
+// off, trailing newline included). Rendering before the status goes out
+// is what lets an unencodable body become a 500; the dedup window stores
+// the same bytes, so a replayed response is byte-identical to the original.
 func marshalJSONBody(body any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -318,5 +319,42 @@ func TestFeedbackStaleAndInvalidItems(t *testing.T) {
 	}
 	if fb.AppliedDelta != 0 {
 		t.Fatalf("nothing should have applied: %+v", fb)
+	}
+}
+
+// TestWriteJSONUnencodableBody pins the response rendering order: a body
+// that cannot be encoded (here a NaN) is a server fault, answered 500 with
+// a JSON ErrorBody instead of a 200 with an empty body, and through the
+// instrumented stack the encoding error reaches the server's log.
+func TestWriteJSONUnencodableBody(t *testing.T) {
+	bad := map[string]float64{"benefit": math.NaN()}
+	check := func(rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("status %d, want 500", rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+			t.Fatalf("body %q is not a JSON error (%v)", rec.Body.String(), err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, bad)
+	check(rec)
+
+	var logged bytes.Buffer
+	srv := New(Config{Logf: func(format string, args ...any) { fmt.Fprintf(&logged, format+"\n", args...) }})
+	defer srv.Close()
+	h := srv.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, bad)
+	}))
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/x/status", nil))
+	check(rec)
+	if !strings.Contains(logged.String(), "encoding response failed") {
+		t.Fatalf("encoding error not logged; log:\n%s", logged.String())
 	}
 }
