@@ -7,8 +7,7 @@
 //
 //	gdrd     -addr 127.0.0.1:9001 -cluster -data-dir /var/lib/gdrd/n1 &
 //	gdrd     -addr 127.0.0.1:9002 -cluster -data-dir /var/lib/gdrd/n2 &
-//	gdrproxy -addr :8080 -nodes http://127.0.0.1:9001,http://127.0.0.1:9002 \
-//	         -node-data http://127.0.0.1:9001=/var/lib/gdrd/n1,http://127.0.0.1:9002=/var/lib/gdrd/n2
+//	gdrproxy -addr :8080 -nodes http://127.0.0.1:9001,http://127.0.0.1:9002
 //
 // Membership is the -nodes list plus a health loop: a node failing
 // -fail-after consecutive probes leaves the ring, and a recovered node
@@ -18,16 +17,25 @@
 // export, import under the original token, delete the source — so a
 // migrated session is byte-identical to one that never moved.
 //
-// Sessions survive node loss shared-nothing: after every mutating round
-// the proxy pushes the session's snapshot, watermarked with its mutation
-// sequence, into the replica spill store of the next distinct ring node,
-// and an anti-entropy sweep on every health tick re-pushes anything
-// missing or lagging. When a node dies, its sessions are promoted from
-// the freshest surviving replicas — no access to the dead node's disk
-// required. The -node-data url=dir map remains as a fallback for
-// sessions without a replica (single-node rings, push lag): those are
-// restored from the dead node's snapshot directory when it is reachable
-// via a shared filesystem or a loopback deployment.
+// Sessions survive node loss shared-nothing: a create answers only once
+// the session's first replica has landed in the replica spill store of the
+// next distinct ring node; after every later mutating round the proxy
+// pushes the snapshot again, watermarked with its mutation sequence, and
+// an anti-entropy sweep on every health tick re-pushes anything missing or
+// lagging. When a node dies, its sessions are promoted from the freshest
+// surviving replicas — the proxy never reads a node's disk. Those later
+// pushes are asynchronous, so a node lost for good takes with it the
+// rounds since its last landed push (gdrd_replica_lag_rounds).
+//
+// One rule decides which copy of a session is real, re-derived from the
+// nodes' own listings on every health tick, so nothing of it is lost when
+// the proxy restarts. A node returning from the dead first loses its
+// copies of every session another node serves: they predate the failover.
+// Any other duplicate (a move's leftover, a drained node's copy) loses to
+// the copy with the higher mutation watermark, and among equal watermarks
+// the routed copy stays. The rule acts only when every node not declared
+// dead has listed its sessions; while one cannot, nothing is deleted or
+// re-routed.
 //
 // Against keyfile-authenticated nodes, -admin-key (or -admin-key-file)
 // must name an admin tenant's key: the proxy uses it for its own
@@ -64,7 +72,6 @@ import (
 type options struct {
 	addr         string
 	nodes        string
-	nodeData     string
 	vnodes       int
 	healthEvery  time.Duration
 	failAfter    int
@@ -80,7 +87,6 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&opts.nodes, "nodes", "", "comma-separated gdrd base URLs, e.g. http://127.0.0.1:9001,http://127.0.0.1:9002")
-	flag.StringVar(&opts.nodeData, "node-data", "", "comma-separated url=dir pairs mapping each node to its -data-dir (enables dead-node session recovery)")
 	flag.IntVar(&opts.vnodes, "vnodes", 0, "virtual nodes per node on the hash ring (0 = default)")
 	flag.DurationVar(&opts.healthEvery, "health-every", 500*time.Millisecond, "membership probe cadence")
 	flag.IntVar(&opts.failAfter, "fail-after", 3, "consecutive failed probes before a node is declared dead")
@@ -110,19 +116,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseNodeData parses the -node-data url=dir pairs.
-func parseNodeData(s string) (map[string]string, error) {
-	out := make(map[string]string)
-	for _, pair := range splitList(s) {
-		url, dir, ok := strings.Cut(pair, "=")
-		if !ok || url == "" || dir == "" {
-			return nil, fmt.Errorf("-node-data entry %q is not url=dir", pair)
-		}
-		out[url] = dir
-	}
-	return out, nil
-}
-
 // loadAdminKey resolves the admin key from the flags.
 func loadAdminKey(opts options) (string, error) {
 	if opts.adminKeyFile == "" {
@@ -150,29 +143,12 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("need -nodes (comma-separated gdrd base URLs)")
 	}
-	dataDirs, err := parseNodeData(opts.nodeData)
-	if err != nil {
-		return err
-	}
-	for url := range dataDirs {
-		found := false
-		for _, n := range nodes {
-			if n == url {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("-node-data names %s, which is not in -nodes", url)
-		}
-	}
 	adminKey, err := loadAdminKey(opts)
 	if err != nil {
 		return err
 	}
 	p, err := cluster.New(cluster.Config{
 		Nodes:       nodes,
-		DataDirs:    dataDirs,
 		VNodes:      opts.vnodes,
 		AdminKey:    adminKey,
 		HealthEvery: opts.healthEvery,
@@ -199,7 +175,7 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 	logger.Info(fmt.Sprintf("gdrproxy: serving on %s", ln.Addr()),
-		"nodes", len(nodes), "data_dirs", len(dataDirs), "vnodes", opts.vnodes,
+		"nodes", len(nodes), "vnodes", opts.vnodes,
 		"health_every", opts.healthEvery, "fail_after", opts.failAfter, "admin", adminKey != "")
 
 	errc := make(chan error, 1)

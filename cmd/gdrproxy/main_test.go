@@ -29,21 +29,6 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-func TestParseNodeData(t *testing.T) {
-	m, err := parseNodeData("http://a:1=/data/a,http://b:2=/data/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["http://a:1"] != "/data/a" || m["http://b:2"] != "/data/b" {
-		t.Fatalf("parseNodeData = %v", m)
-	}
-	for _, bad := range []string{"http://a:1", "=dir", "http://a:1="} {
-		if _, err := parseNodeData(bad); err == nil {
-			t.Fatalf("parseNodeData(%q) accepted", bad)
-		}
-	}
-}
-
 func TestLoadAdminKey(t *testing.T) {
 	if key, err := loadAdminKey(options{adminKey: "flagkey"}); err != nil || key != "flagkey" {
 		t.Fatalf("flag key: %q, %v", key, err)
@@ -192,12 +177,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	ctx := context.Background()
 	if err := run(ctx, options{logFormat: "text", logLevel: "info"}, nil); err == nil {
 		t.Fatal("no -nodes accepted")
-	}
-	if err := run(ctx, options{
-		nodes: "http://a:1", nodeData: "http://other:9=/tmp",
-		logFormat: "text", logLevel: "info",
-	}, nil); err == nil {
-		t.Fatal("-node-data for an unknown node accepted")
 	}
 	if err := run(ctx, options{nodes: "http://a:1", logFormat: "nope", logLevel: "info"}, nil); err == nil {
 		t.Fatal("bad log format accepted")

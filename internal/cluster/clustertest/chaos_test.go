@@ -28,7 +28,7 @@ func sessionCopies(t testing.TB, c *Cluster, token string) int {
 	t.Helper()
 	copies := 0
 	for _, n := range c.Nodes {
-		if n.hs == nil {
+		if !n.Live() {
 			continue // killed
 		}
 		resp, err := http.Get(n.URL + "/v1/sessions")
@@ -58,14 +58,14 @@ func mustCopies(t testing.TB, c *Cluster, token string, want int, label string) 
 	}
 }
 
-// waitConverged blocks until the proxy's stale ledger drains (the health
-// loop's sweep runs every HealthEvery).
-func waitConverged(t testing.TB, c *Cluster, deadline time.Duration) {
+// waitConverged blocks until the token is down to one copy (the health
+// loop's audit deletes superseded copies every HealthEvery).
+func waitConverged(t testing.TB, c *Cluster, token string, deadline time.Duration) {
 	t.Helper()
 	end := time.Now().Add(deadline)
-	for c.Proxy.StaleCount() > 0 {
+	for n := sessionCopies(t, c, token); n != 1; n = sessionCopies(t, c, token) {
 		if time.Now().After(end) {
-			t.Fatalf("stale ledger never drained (%d entries left)", c.Proxy.StaleCount())
+			t.Fatalf("session %s never converged to one copy (%d left)", token, n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -159,23 +159,20 @@ func TestClusterMigrationChaos(t *testing.T) {
 			// Phase C — the source delete fails: the move itself succeeds and
 			// a superseded copy lingers on the drained node. The stale node
 			// then crashes and restarts (resurrecting the stale copy from its
-			// own snapshot file) before deletes heal. The ledger must keep
-			// routing pinned to the fresh copy throughout and sweep the
-			// resurrected one away.
+			// own snapshot file) before deletes heal. Routing must stay pinned
+			// to the fresh copy throughout, and the audit must delete the
+			// resurrected one.
 			owner := c.Owner(token)
 			faults.Set(cluster.FaultDelete, faultfs.Rule{P: 1})
 			if err := c.Drain(ctx, owner); err != nil {
 				t.Fatalf("phase C: drain: %v", err)
 			}
 			mustCopies(t, c, token, 2, "phase C stale overlap")
-			if c.Proxy.StaleCount() != 1 {
-				t.Fatalf("phase C: stale ledger = %d, want 1", c.Proxy.StaleCount())
-			}
 			equal("phase C stale overlap")
 			c.Kill(owner)
 			faults.Clear()
 			c.Restart(owner)
-			waitConverged(t, c, 5*time.Second)
+			waitConverged(t, c, token, 5*time.Second)
 			mustCopies(t, c, token, 1, "phase C converged")
 			equal("phase C converged")
 			if err := c.AddBack(ctx, owner); err != nil {

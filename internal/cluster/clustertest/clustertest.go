@@ -1,8 +1,8 @@
 // Package clustertest boots a real multi-node gdrd cluster inside one test
-// process: K genuine server.Server instances (cluster mode, each with its
-// own snapshot directory) listening on loopback ports, fronted by a real
-// cluster.Proxy. Tests drive oracle repair traffic through the proxy,
-// inject ring changes (graceful drains, node crashes, fault-injected
+// process — the inproc rig: K genuine server.Server instances (cluster
+// mode, each with its own snapshot directory) listening on loopback ports,
+// fronted by a real cluster.Proxy. Tests drive oracle repair traffic
+// through the proxy, inject ring changes (graceful drains, node crashes, fault-injected
 // migrations) mid-session, and assert that a migrated session remains
 // byte-identical to an unmigrated control at the same trace point — the
 // equivalence bar that proves live migration safe.
@@ -10,172 +10,60 @@ package clustertest
 
 import (
 	"context"
-	"errors"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
 	"gdr/internal/cluster"
-	"gdr/internal/core"
-	"gdr/internal/faultfs"
-	"gdr/internal/server"
+	"gdr/internal/cluster/inproc"
 )
 
-// Node is one booted gdrd server.
-type Node struct {
-	URL     string
-	DataDir string
+// Options shapes a test cluster (see inproc.Options).
+type Options = inproc.Options
 
-	srv *server.Server
-	hs  *http.Server
-	ln  net.Listener
-}
-
-// Options shapes a test cluster.
-type Options struct {
-	// N is the node count (default 3).
-	N int
-	// VNodes overrides the ring's virtual-node count (ring default if 0).
-	VNodes int
-	// Workers is each node's CPU-slot budget (default 2).
-	Workers int
-	// SessionWorkers is each session's intra-request fan-out (default 1).
-	SessionWorkers int
-	// Faults plugs a proxy-side injector into the migration machinery.
-	Faults *faultfs.Injector
-	// HealthEvery / FailAfter / SettleGrace tune the membership loop
-	// (fast test defaults: 50ms / 2 / 250ms).
-	HealthEvery time.Duration
-	FailAfter   int
-	SettleGrace time.Duration
-}
+// Node is one booted gdrd server (see inproc.Node).
+type Node = inproc.Node
 
 // Cluster is the booted rig: nodes, proxy, and the proxy's front door.
 type Cluster struct {
-	tb      testing.TB
-	opts    Options
-	Nodes   []*Node
-	Proxy   *cluster.Proxy
-	Gateway *httptest.Server
+	tb    testing.TB
+	rig   *inproc.Cluster
+	Nodes []*Node
+	Proxy *cluster.Proxy
 }
 
-// quietLogger drops everything below Error — the rig boots and kills whole
-// servers, and their routine lifecycle chatter would bury test output.
-func quietLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
+// quietLogger drops everything — booted and killed servers' routine
+// lifecycle chatter would bury test output.
+func quietLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
 // Start boots the rig and registers cleanup on tb.
 func Start(tb testing.TB, opts Options) *Cluster {
 	tb.Helper()
-	if opts.N <= 0 {
-		opts.N = 3
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 2
-	}
-	if opts.SessionWorkers <= 0 {
-		opts.SessionWorkers = 1
-	}
-	if opts.HealthEvery <= 0 {
-		opts.HealthEvery = 50 * time.Millisecond
-	}
-	if opts.FailAfter <= 0 {
-		opts.FailAfter = 2
-	}
-	if opts.SettleGrace <= 0 {
-		opts.SettleGrace = 250 * time.Millisecond
-	}
-	c := &Cluster{tb: tb, opts: opts}
-	urls := make([]string, opts.N)
-	dataDirs := make(map[string]string, opts.N)
-	for i := 0; i < opts.N; i++ {
-		n := c.bootNode(tb.TempDir())
-		c.Nodes = append(c.Nodes, n)
-		urls[i] = n.URL
-		dataDirs[n.URL] = n.DataDir
-	}
-	p, err := cluster.New(cluster.Config{
-		Nodes:       urls,
-		DataDirs:    dataDirs,
-		VNodes:      opts.VNodes,
-		HealthEvery: opts.HealthEvery,
-		FailAfter:   opts.FailAfter,
-		SettleGrace: opts.SettleGrace,
-		Logger:      quietLogger(),
-		Faults:      opts.Faults,
-	})
+	rig, err := inproc.Start(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c.Proxy = p
-	p.Start()
-	c.Gateway = httptest.NewServer(p.Handler())
-	tb.Cleanup(c.Close)
-	return c
-}
-
-// bootNode starts one real gdrd server on a loopback port.
-func (c *Cluster) bootNode(dataDir string) *Node {
-	c.tb.Helper()
-	srv := server.New(server.Config{
-		ClusterMode: true,
-		DataDir:     dataDir,
-		Workers:     c.opts.Workers,
-		TTL:         time.Hour,
-		Session:     core.Config{Workers: c.opts.SessionWorkers},
-		Logger:      quietLogger(),
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		c.tb.Fatal(err)
-	}
-	n := &Node{
-		URL:     "http://" + ln.Addr().String(),
-		DataDir: dataDir,
-		srv:     srv,
-		hs:      &http.Server{Handler: srv.Handler()},
-		ln:      ln,
-	}
-	go func() {
-		if err := n.hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-			// The rig closes listeners on purpose; anything else is test noise
-			// worth surfacing.
-			os.Stderr.WriteString("clustertest: node serve: " + err.Error() + "\n")
-		}
-	}()
-	return n
+	tb.Cleanup(rig.Close)
+	return &Cluster{tb: tb, rig: rig, Nodes: rig.Nodes, Proxy: rig.Proxy}
 }
 
 // URL is the cluster's front door — clients talk only to the proxy.
-func (c *Cluster) URL() string { return c.Gateway.URL }
+func (c *Cluster) URL() string { return c.rig.Gateway }
 
-// Client returns the gateway's HTTP client.
-func (c *Cluster) Client() *http.Client { return c.Gateway.Client() }
+// Client returns the HTTP client the drives use against the gateway.
+func (c *Cluster) Client() *http.Client { return http.DefaultClient }
 
 // Kill makes node i drop off the network abruptly, like a crashed process:
 // its listener closes mid-flight and nothing drains. The node's snapshot
-// directory survives — that is what the proxy's failover restores from.
-func (c *Cluster) Kill(i int) {
-	c.tb.Helper()
-	n := c.Nodes[i]
-	if n.hs == nil {
-		return
-	}
-	_ = n.hs.Close()
-	n.srv.Close()
-	n.hs = nil
-}
+// directory survives, and Restart brings it back.
+func (c *Cluster) Kill(i int) { c.rig.Kill(i) }
 
 // KillAndWipe is the shared-nothing crash: node i drops off the network
 // AND its snapshot directory is destroyed. Nothing of the node survives,
 // so recovery must come from the replicas the proxy pushed to the other
-// nodes — the disk-failover path has nothing to read.
+// nodes.
 func (c *Cluster) KillAndWipe(i int) {
 	c.tb.Helper()
 	c.Kill(i)
@@ -191,7 +79,7 @@ func (c *Cluster) WaitReady(deadline time.Duration) {
 	c.tb.Helper()
 	end := time.Now().Add(deadline)
 	for {
-		resp, err := http.Get(c.Gateway.URL + "/readyz")
+		resp, err := http.Get(c.URL() + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -210,26 +98,9 @@ func (c *Cluster) WaitReady(deadline time.Duration) {
 // re-admits it once it answers probes.
 func (c *Cluster) Restart(i int) {
 	c.tb.Helper()
-	n := c.Nodes[i]
-	if n.hs != nil {
-		c.tb.Fatal("clustertest: Restart of a live node")
+	if err := c.rig.Restart(i); err != nil {
+		c.tb.Fatalf("clustertest: restarting node %d: %v", i, err)
 	}
-	srv := server.New(server.Config{
-		ClusterMode: true,
-		DataDir:     n.DataDir,
-		Workers:     c.opts.Workers,
-		TTL:         time.Hour,
-		Session:     core.Config{Workers: c.opts.SessionWorkers},
-		Logger:      quietLogger(),
-	})
-	ln, err := net.Listen("tcp", n.ln.Addr().String())
-	if err != nil {
-		c.tb.Fatalf("clustertest: rebinding %s: %v", n.URL, err)
-	}
-	n.srv = srv
-	n.ln = ln
-	n.hs = &http.Server{Handler: srv.Handler()}
-	go func() { _ = n.hs.Serve(ln) }()
 }
 
 // Drain gracefully removes node i from the ring, migrating its sessions.
@@ -244,15 +115,7 @@ func (c *Cluster) AddBack(ctx context.Context, i int) error {
 
 // Owner returns the index of the node currently owning a token on the
 // ring, or -1.
-func (c *Cluster) Owner(token string) int {
-	owner := c.Proxy.Ring().Lookup(token)
-	for i, n := range c.Nodes {
-		if n.URL == owner {
-			return i
-		}
-	}
-	return -1
-}
+func (c *Cluster) Owner(token string) int { return c.rig.Owner(token) }
 
 // WaitRing blocks until the ring's live member count reaches want (the
 // health loop runs asynchronously) or the deadline passes.
@@ -267,24 +130,5 @@ func (c *Cluster) WaitRing(want int, deadline time.Duration) {
 			c.tb.Fatalf("clustertest: ring never reached %d live nodes (have %d)", want, c.Proxy.Ring().Len())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// Close tears the whole rig down.
-func (c *Cluster) Close() {
-	if c.Gateway != nil {
-		c.Gateway.Close()
-		c.Gateway = nil
-	}
-	if c.Proxy != nil {
-		c.Proxy.Close()
-		c.Proxy = nil
-	}
-	for _, n := range c.Nodes {
-		if n.hs != nil {
-			_ = n.hs.Close()
-			n.srv.Close()
-			n.hs = nil
-		}
 	}
 }

@@ -29,7 +29,7 @@ func replicaHolders(t testing.TB, c *Cluster, token string) []int {
 	t.Helper()
 	var holders []int
 	for i, n := range c.Nodes {
-		if n.hs == nil {
+		if !n.Live() {
 			continue // killed
 		}
 		resp, err := http.Get(n.URL + "/v1/replicas")

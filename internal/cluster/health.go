@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"time"
@@ -45,14 +47,13 @@ func (p *Proxy) jitteredCadence() time.Duration {
 	return d - d/10 + time.Duration(rand.Int64N(span))
 }
 
-// checkAll runs one probe round over the configured node set, then retries
-// deleting any ledgered stale session copies.
+// checkAll runs one probe round over the configured node set. A death
+// fails the node's sessions over from their replicas; a return is admitted
+// only once the node has shed its superseded copies (see admit), and until
+// then every further good probe retries. Drained nodes are probed too: one
+// that dies is not listed again until it has shed its copies the same way.
 func (p *Proxy) checkAll() {
-	defer func() {
-		if p.StaleCount() > 0 {
-			p.sweepStale(context.Background())
-		}
-	}()
+	ctx := context.Background()
 	for _, node := range p.cfg.Nodes {
 		ok := p.probe(node)
 		p.mu.Lock()
@@ -64,29 +65,26 @@ func (p *Proxy) checkAll() {
 		var died, revived bool
 		if ok {
 			st.fails = 0
-			if st.live {
-				st.succs = 0
-			} else if !st.drained {
+			if st.dead {
 				// Hysteresis: one good probe is not proof of life. A node must
-				// answer FailAfter times in a row before it re-enters the ring,
-				// or a half-up node would bounce sessions on every probe.
+				// answer FailAfter times in a row before it returns, or a
+				// half-up node would bounce sessions on every probe.
 				st.succs++
-				if st.succs >= p.cfg.FailAfter {
-					revived = true
-					st.live = true
-					st.succs = 0
-					p.ring = p.ring.Add(node)
-					p.markSettlingLocked()
-				}
+				revived = st.succs >= p.cfg.FailAfter
+			} else {
+				st.succs = 0
 			}
 		} else {
 			st.succs = 0
 			st.fails++
-			if st.live && st.fails >= p.cfg.FailAfter {
+			if !st.dead && st.fails >= p.cfg.FailAfter {
 				died = true
-				st.live = false
-				p.ring = p.ring.Remove(node)
-				p.markSettlingLocked()
+				st.dead = true
+				if st.live {
+					st.live = false
+					p.ring = p.ring.Remove(node)
+					p.markSettlingLocked()
+				}
 			}
 		}
 		p.mu.Unlock()
@@ -94,14 +92,87 @@ func (p *Proxy) checkAll() {
 		case died:
 			p.log.Warn("node declared dead", "node", node, "fail_after", p.cfg.FailAfter)
 			p.reg.LabeledCounter("gdrproxy_node_deaths_total", "node", node).Inc()
-			p.failover(context.Background(), node)
-			p.rebalance(context.Background())
+			p.workMu.Lock()
+			p.failover(ctx, node)
+			p.rebalance(ctx)
+			p.workMu.Unlock()
 		case revived:
+			p.workMu.Lock()
+			err := p.admit(ctx, node, true)
+			if err == nil {
+				p.rebalance(ctx)
+			}
+			p.workMu.Unlock()
+			if err != nil {
+				if err != errNotDead {
+					p.log.Warn("returning node kept out; will retry", "node", node, "err", err)
+				}
+				continue
+			}
+			if !p.currentRing().Has(node) {
+				p.log.Info("drained node answers again", "node", node, "after_successes", p.cfg.FailAfter)
+				continue
+			}
 			p.log.Info("node rejoined", "node", node, "after_successes", p.cfg.FailAfter)
 			p.reg.LabeledCounter("gdrproxy_node_joins_total", "node", node).Inc()
-			p.rebalance(context.Background())
 		}
 	}
+}
+
+// errNotDead skips a health revival of a node an operator added after the
+// probes that called for it.
+var errNotDead = errors.New("cluster: node no longer dead")
+
+// admit returns a node: into the ring, except that a health revival leaves
+// a drained node drained. It first takes a full inventory; if a listing
+// fails, nothing changes. A node the health loop declared dead then
+// applies rule 1: its copies of every session a listed node now holds
+// are deleted, since they predate the failover and the promoted copy has
+// served clients since. A restarted copy can even carry a higher watermark
+// than the promoted one (the replica lagged) while holding a different
+// history, so no watermark can settle this. If a delete fails, the node
+// stays dead. Callers hold workMu.
+func (p *Proxy) admit(ctx context.Context, node string, revival bool) error {
+	p.mu.Lock()
+	st := p.nodes[node]
+	if st == nil {
+		p.mu.Unlock()
+		return errUnknownNode(node)
+	}
+	dead := st.dead
+	p.mu.Unlock()
+	if revival && !dead {
+		return errNotDead
+	}
+	served, err := p.inventory(ctx)
+	if err != nil {
+		return err
+	}
+	if dead {
+		own, err := p.listNode(ctx, node, p.adminAuth())
+		if err != nil {
+			return err
+		}
+		for _, s := range own {
+			if len(served[s.ID]) == 0 {
+				continue // the only copy left comes back with its node
+			}
+			if err := p.deleteSession(ctx, node, s.ID); err != nil {
+				return fmt.Errorf("cluster: deleting %s's superseded copy of %s: %w", node, s.ID, err)
+			}
+			p.log.Info("deleted a returning node's superseded copy", "node", node, "token", s.ID, "seq", s.MutSeq)
+		}
+	}
+	p.mu.Lock()
+	st.dead = false
+	st.fails, st.succs = 0, 0
+	if !revival || !st.drained {
+		st.live, st.drained = true, false
+		p.ring = p.ring.Add(node)
+		p.markSettlingLocked()
+	}
+	p.mu.Unlock()
+	return nil
 }
 
 // probe is one health check; any 200 /healthz within the cadence counts.
@@ -124,35 +195,37 @@ func (p *Proxy) probe(node string) bool {
 // The node must be in the configured set (static membership: the health
 // loop only probes configured nodes). It is the test- and operator-driven
 // twin of a health-loop revival, so it skips the hysteresis — the operator
-// has asserted the node is fit.
+// has asserted the node is fit — but not rule 1, nor the full inventory
+// rule 1 and the rebalance need (see admit).
 func (p *Proxy) AddNode(ctx context.Context, node string) error {
-	p.mu.Lock()
-	st := p.nodes[node]
-	if st == nil {
-		p.mu.Unlock()
-		return errUnknownNode(node)
+	p.workMu.Lock()
+	defer p.workMu.Unlock()
+	if err := p.admit(ctx, node, false); err != nil {
+		return err
 	}
-	st.live = true
-	st.fails = 0
-	st.succs = 0
-	st.drained = false
-	p.ring = p.ring.Add(node)
-	p.markSettlingLocked()
-	p.mu.Unlock()
 	return p.rebalance(ctx)
 }
 
-// RemoveNode gracefully drains a live node: it leaves the ring first (new
-// sessions avoid it), then every session it holds is migrated to its new
-// ring owner. The node stays up and healthy throughout — this is the
-// planned-maintenance path, not the crash path.
+// RemoveNode gracefully drains a node: it leaves the ring first (new
+// sessions avoid it), then the rebalance migrates every session it holds
+// to its new ring owner. The node stays up and healthy throughout — this
+// is the planned-maintenance path, not the crash path. A drain that cannot
+// list every copy cannot be planned, so the node then stays in the ring
+// and the error says why. A node already declared dead stays dead: its
+// copies are not listed until it returns and sheds them (see admit).
 func (p *Proxy) RemoveNode(ctx context.Context, node string) error {
+	p.workMu.Lock()
+	defer p.workMu.Unlock()
 	p.mu.Lock()
 	st := p.nodes[node]
+	p.mu.Unlock()
 	if st == nil {
-		p.mu.Unlock()
 		return errUnknownNode(node)
 	}
+	if _, err := p.inventory(ctx); err != nil {
+		return fmt.Errorf("cluster: draining %s: %w", node, err)
+	}
+	p.mu.Lock()
 	st.live = false
 	// A drained node stays out until AddNode: it is still healthy, and the
 	// health loop must not re-admit it on the next probe.
@@ -160,7 +233,7 @@ func (p *Proxy) RemoveNode(ctx context.Context, node string) error {
 	p.ring = p.ring.Remove(node)
 	p.markSettlingLocked()
 	p.mu.Unlock()
-	return p.drainNode(ctx, node)
+	return p.rebalance(ctx)
 }
 
 type errUnknownNode string

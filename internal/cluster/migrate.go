@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,15 +28,27 @@ import (
 //	redirect — the source copy is deleted and the routing override drops,
 //	          so the ring sends every subsequent request to dst
 //
-// Failure at any step leaves the session with exactly one authoritative
-// copy: export fails → still src; import fails → still src (override
-// stays). A failed source delete leaves a superseded copy behind, so the
-// proxy records it in the stale ledger and pins the routing override to
-// dst: the stale copy is never served — even if the ring later flips back
-// to its node — and every sweep retries deleting it until it is gone. The
-// ledger is also what keeps the 409 duplicate-token dedup safe: an import
-// conflict only ever deletes a copy the ledger (or the move direction)
-// proves superseded, never the fresh one.
+// Failure at any step leaves the session with one authoritative copy:
+// export fails → still src; import fails → still src (override stays). A
+// destination that already holds the token answers 409 with its copy's
+// watermark, and that copy stands in for the import only when it is at
+// least as fresh as the source's; otherwise the move fails and the source
+// stays routed. A failed source delete leaves a superseded copy behind, so
+// routing is pinned to dst until an audit deletes the leftover.
+//
+// Which copy of a session is real is decided by one rule, re-derived from
+// the nodes' own listings on every audit and before every rebalance, so a
+// restarted proxy rebuilds it from nothing:
+//
+//  1. The serving lineage wins. A node the health loop declared dead loses
+//     its copies of every session a listed node holds before it is listed
+//     again (see admit): those copies predate the failover, and watermarks
+//     cannot order them against the promoted copy's history.
+//  2. Within the lineage, the freshest watermark wins. Moves and
+//     promotions copy state forward and only the routed copy is mutated,
+//     so any other duplicate is ordered by watermark, and equal watermarks
+//     mean the same state (see settle). Only a full inventory is settled:
+//     the copy a failed listing hides may be the freshest.
 
 // migrateTimeout bounds one session move end to end.
 const migrateTimeout = 30 * time.Second
@@ -51,134 +61,137 @@ type move struct {
 	to     string
 }
 
-// rebalance sweeps every live node's session set and moves each session
-// whose ring owner is no longer the node holding it. Overrides for all
-// pending moves are installed before the first migration starts, so a
-// request for a not-yet-moved session still reaches its current home.
-func (p *Proxy) rebalance(ctx context.Context) error {
-	p.sweepStale(ctx)
-	ring := p.currentRing()
-	var moves []move
-	for _, node := range ring.Nodes() {
-		infos, err := p.listNode(ctx, node, p.adminAuth())
-		if err != nil {
-			p.log.Warn("rebalance: listing node failed", "node", node, "err", err)
-			continue
-		}
-		for _, s := range infos {
-			if p.staleAt(s.ID) == node {
-				continue // superseded copy the sweep could not delete yet
-			}
-			if want := ring.Lookup(s.ID); want != "" && want != node {
-				moves = append(moves, move{token: s.ID, tenant: s.Tenant, from: node, to: want})
-			}
-		}
-	}
-	return p.runMoves(ctx, moves)
+// sessionCopy is one node's copy of a session, as its listing reports it.
+type sessionCopy struct {
+	node string
+	info server.SessionInfo
 }
 
-// Rebalance is the operator/test resync entry point: clean superseded
-// copies, then move every session back onto its ring owner.
-func (p *Proxy) Rebalance(ctx context.Context) error { return p.rebalance(ctx) }
-
-// staleAt returns the node ledgered as holding a superseded copy of the
-// token ("" if none).
-func (p *Proxy) staleAt(token string) string {
+// inventory lists the sessions on every node that may hold a copy: every
+// configured node the health loop has not declared dead (ring members and
+// drained nodes), in configured order. A dead node is not asked: rule 1
+// settles its copies before it is listed again (see admit). Any failed
+// listing fails the whole inventory, since the copy it hides may be the
+// one routing points at; settling, moving or promoting on a partial view
+// could serve or keep an older copy.
+func (p *Proxy) inventory(ctx context.Context) (map[string][]sessionCopy, error) {
+	var nodes []string
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stale[token]
-}
-
-// sweepStale retries deleting every ledgered superseded copy. A cleared
-// entry also releases the token's routing override when the ring already
-// points at the fresh copy's node.
-func (p *Proxy) sweepStale(ctx context.Context) {
-	p.mu.Lock()
-	pending := make([]move, 0, len(p.stale))
-	for token, node := range p.stale {
-		pending = append(pending, move{token: token, from: node})
+	for _, n := range p.cfg.Nodes {
+		if !p.nodes[n].dead {
+			nodes = append(nodes, n)
+		}
 	}
 	p.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].token < pending[j].token })
-	for _, s := range pending {
-		err := p.cfg.Faults.Fault(FaultDelete)
-		if err == nil {
-			err = p.deleteSession(ctx, s.from, s.token)
-		}
+	inv := make(map[string][]sessionCopy)
+	for _, n := range nodes {
+		infos, err := p.listNode(ctx, n, p.adminAuth())
 		if err != nil {
-			p.log.Warn("stale copy still undeletable; will retry", "token", s.token, "node", s.from, "err", err)
-			continue
+			p.log.Warn("listing node failed; placement waits for a full inventory", "node", n, "err", err)
+			return nil, err
 		}
-		p.clearStale(s.token)
-		p.log.Info("deleted superseded session copy", "token", s.token, "node", s.from)
+		for _, s := range infos {
+			inv[s.ID] = append(inv[s.ID], sessionCopy{node: n, info: s})
+		}
 	}
+	return inv, nil
 }
 
-// clearStale drops a token's stale-ledger entry, and its routing override
-// too once the ring already sends the token to the override's node.
-func (p *Proxy) clearStale(token string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.stale, token)
-	if ow, ok := p.overrides[token]; ok && p.ring.Lookup(token) == ow {
-		delete(p.overrides, token)
+// settle applies rule 2 to an inventory: of each session's copies it keeps
+// the one with the highest watermark, among equals the one routing points
+// at, and deletes the rest. Routing is pinned to the kept copy while the
+// ring points elsewhere or a superseded copy survives its delete, and the
+// pin drops once the ring owner holds the only copy. It returns the kept
+// copy of every session, in token order. Callers hold workMu, so no token
+// is mid-move, and pass a full inventory.
+func (p *Proxy) settle(ctx context.Context, inv map[string][]sessionCopy) []sessionCopy {
+	tokens := make([]string, 0, len(inv))
+	for token := range inv {
+		tokens = append(tokens, token)
 	}
+	sort.Strings(tokens)
+	kept := make([]sessionCopy, 0, len(inv))
+	for _, token := range tokens {
+		keep := freshest(inv[token], p.routeToken(token))
+		kept = append(kept, keep)
+		left := 1
+		for _, c := range inv[token] {
+			if c.node == keep.node {
+				continue
+			}
+			if err := p.deleteSession(ctx, c.node, token); err != nil {
+				left++
+				p.log.Warn("superseded session copy still undeletable; will retry",
+					"token", token, "node", c.node, "err", err)
+				continue
+			}
+			p.log.Info("deleted superseded session copy", "token", token, "node", c.node,
+				"seq", c.info.MutSeq, "kept", keep.node, "kept_seq", keep.info.MutSeq)
+		}
+		p.mu.Lock()
+		if left > 1 || p.ring.Lookup(token) != keep.node {
+			p.overrides[token] = keep.node
+		} else {
+			delete(p.overrides, token)
+		}
+		p.mu.Unlock()
+	}
+	return kept
 }
 
-// StaleCount reports how many superseded session copies the ledger still
-// tracks — 0 once the cluster has converged back to one copy per session.
-// It is the health loop's retry trigger and the chaos tests' convergence
-// probe.
-func (p *Proxy) StaleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.stale)
+// freshest picks the copy settle keeps: the highest watermark, and among
+// equal watermarks the copy on the routed node (else the first listed).
+func freshest(copies []sessionCopy, routed string) sessionCopy {
+	keep := copies[0]
+	for _, c := range copies[1:] {
+		if c.info.MutSeq > keep.info.MutSeq || c.info.MutSeq == keep.info.MutSeq && c.node == routed {
+			keep = c
+		}
+	}
+	return keep
 }
 
-// drainNode moves every session off one node (which has already left the
-// ring) to the sessions' new ring owners.
-func (p *Proxy) drainNode(ctx context.Context, node string) error {
-	ring := p.currentRing()
-	infos, err := p.listNode(ctx, node, p.adminAuth())
+// rebalance settles every session to one copy, then moves each kept copy
+// whose ring owner is another node — off drained nodes, and onto nodes that
+// joined. Without a full inventory it does neither and returns the error.
+// Callers hold workMu. Overrides for all pending moves are installed
+// before the first migration starts, so a request for a not-yet-moved
+// session still reaches its current home.
+func (p *Proxy) rebalance(ctx context.Context) error {
+	inv, err := p.inventory(ctx)
 	if err != nil {
-		return fmt.Errorf("cluster: draining %s: %w", node, err)
+		return err
 	}
+	ring := p.currentRing()
 	var moves []move
-	for _, s := range infos {
-		if p.staleAt(s.ID) == node {
-			continue // a superseded copy; the sweep deletes it, never migrates it
-		}
-		if want := ring.Lookup(s.ID); want != "" {
-			moves = append(moves, move{token: s.ID, tenant: s.Tenant, from: node, to: want})
+	for _, c := range p.settle(ctx, inv) {
+		if want := ring.Lookup(c.info.ID); want != "" && want != c.node {
+			moves = append(moves, move{token: c.info.ID, tenant: c.info.Tenant, from: c.node, to: want})
 		}
 	}
 	return p.runMoves(ctx, moves)
 }
 
-// runMoves executes planned migrations serially in token order
-// (deterministic and gentle: one session is in flight at a time). The
-// first error does not stop the sweep — every move is attempted — but is
-// reported.
+// Rebalance is the operator/test resync entry point: delete superseded
+// copies, then move every session onto its ring owner.
+func (p *Proxy) Rebalance(ctx context.Context) error {
+	p.workMu.Lock()
+	defer p.workMu.Unlock()
+	return p.rebalance(ctx)
+}
+
+// runMoves executes planned migrations serially, in the given order
+// (rebalance plans them in token order: deterministic and gentle, one
+// session in flight at a time). The first error does not stop the sweep —
+// every move is attempted — but is reported.
 func (p *Proxy) runMoves(ctx context.Context, moves []move) error {
-	if len(moves) == 0 {
-		return nil
-	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].token < moves[j].token })
 	p.mu.Lock()
-	planned := moves[:0]
 	for _, m := range moves {
-		if _, busy := p.migrating[m.token]; busy {
-			continue // someone else is already moving it
-		}
 		p.overrides[m.token] = m.from
-		planned = append(planned, m)
 	}
 	p.mu.Unlock()
 	var firstErr error
-	for _, m := range planned {
+	for _, m := range moves {
 		if err := p.migrate(ctx, m); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -187,39 +200,25 @@ func (p *Proxy) runMoves(ctx context.Context, moves []move) error {
 }
 
 // migrate moves one session. On success the override is dropped (the ring
-// now routes to dst); on failure the override stays pointing at src, which
-// still authoritatively holds the session.
+// now routes to dst), or pinned to dst if the source copy survived its
+// delete; on failure the override stays pointing at src, which still
+// authoritatively holds the session.
 func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
-	p.mu.Lock()
-	if _, busy := p.migrating[m.token]; busy {
-		p.mu.Unlock()
-		return nil
-	}
 	ch := make(chan struct{})
+	p.mu.Lock()
 	p.migrating[m.token] = ch
 	p.mu.Unlock()
 
 	start := time.Now()
-	moved := false
-	staleSrc := false
+	moved, pinned := false, false
 	defer func() {
 		p.mu.Lock()
 		delete(p.migrating, m.token)
 		switch {
-		case moved && staleSrc:
-			// The superseded source copy is still alive; pin routing to the
-			// fresh destination copy until the sweep deletes it. Without the
-			// pin, a later ring flip back to src would serve stale state.
-			p.stale[m.token] = m.from
+		case pinned:
 			p.overrides[m.token] = m.to
 		case moved:
-			if _, lingering := p.stale[m.token]; lingering {
-				// An older stale copy is still out there; keep the fresh
-				// copy pinned so a ring flip cannot route to it.
-				p.overrides[m.token] = m.to
-			} else {
-				delete(p.overrides, m.token)
-			}
+			delete(p.overrides, m.token)
 		}
 		p.mu.Unlock()
 		close(ch)
@@ -240,46 +239,23 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 	if ferr := p.cfg.Faults.Fault(FaultExport); ferr != nil {
 		return fmt.Errorf("cluster: exporting %s from %s: %w", m.token, m.from, ferr)
 	}
-	snap, _, _, err := p.exportSession(ctx, m.from, m.token)
+	snap, seq, _, err := p.exportSession(ctx, m.from, m.token)
 	if err != nil {
 		return fmt.Errorf("cluster: exporting %s from %s: %w", m.token, m.from, err)
-	}
-	if p.staleAt(m.token) == m.to {
-		// The destination holds a superseded copy of this very token. It
-		// must go before the import: otherwise the import's 409 would be
-		// read as "destination already has it" and the fresh source copy
-		// would be deleted.
-		derr := p.cfg.Faults.Fault(FaultDelete)
-		if derr == nil {
-			derr = p.deleteSession(ctx, m.to, m.token)
-		}
-		if derr != nil {
-			return fmt.Errorf("cluster: destination %s holds an undeletable stale copy of %s: %w", m.to, m.token, derr)
-		}
-		p.clearStale(m.token)
 	}
 	if ferr := p.cfg.Faults.Fault(FaultImport); ferr != nil {
 		return fmt.Errorf("cluster: importing %s onto %s: %w", m.token, m.to, ferr)
 	}
-	if err := p.importSession(ctx, m.to, m.token, m.tenant, snap); err != nil {
+	if err := p.importSession(ctx, m.to, m.token, m.tenant, snap, seq); err != nil {
 		return fmt.Errorf("cluster: importing %s onto %s: %w", m.token, m.to, err)
 	}
 	// The destination copy is authoritative from here on; routing flips to
 	// it even if the source-side delete fails.
 	moved = true
-	if ferr := p.cfg.Faults.Fault(FaultDelete); ferr != nil {
-		staleSrc = true
-		p.reg.Counter("gdrproxy_stale_source_total").Inc()
-		p.log.Warn("migration source delete failed; ledgered for the sweep",
-			"token", m.token, "from", m.from, "err", ferr)
-		return nil
-	}
 	if err := p.deleteSession(ctx, m.from, m.token); err != nil {
-		// Not a failed migration: dst owns the session. The ledger keeps
-		// routing pinned to dst and the sweep keeps retrying the delete.
-		staleSrc = true
+		pinned = true
 		p.reg.Counter("gdrproxy_stale_source_total").Inc()
-		p.log.Warn("migration source delete failed; ledgered for the sweep",
+		p.log.Warn("migration source delete failed; routing pinned to the destination until an audit deletes it",
 			"token", m.token, "from", m.from, "err", err)
 	}
 	return nil
@@ -313,10 +289,11 @@ func (p *Proxy) exportSession(ctx context.Context, node, token string) ([]byte, 
 }
 
 // importSession recreates a session from snapshot bytes on a node, under
-// its original token and tenant. A 409 means the destination already has
-// the session (a half-finished earlier move); the destination copy wins
-// and the caller proceeds to delete the source.
-func (p *Proxy) importSession(ctx context.Context, node, token, tenant string, snap []byte) error {
+// its original token and tenant; seq is the watermark the bytes capture. A
+// 409 means the node already holds the token. That copy stands in for the
+// import only if its watermark (reported on the 409) is at least seq; an
+// older copy, or one still being built (no watermark), fails the import.
+func (p *Proxy) importSession(ctx context.Context, node, token, tenant string, snap []byte, seq uint64) error {
 	body, err := json.Marshal(server.CreateSessionRequest{Snapshot: snap})
 	if err != nil {
 		return err
@@ -340,6 +317,13 @@ func (p *Proxy) importSession(ctx context.Context, node, token, tenant string, s
 	case http.StatusCreated:
 		return nil
 	case http.StatusConflict:
+		held, perr := strconv.ParseUint(resp.Header.Get(server.MutationSeqHeader), 10, 64)
+		if perr != nil {
+			return fmt.Errorf("the node's copy of the token is still being built")
+		}
+		if held < seq {
+			return fmt.Errorf("the node holds an older copy (watermark %d < %d)", held, seq)
+		}
 		p.reg.Counter("gdrproxy_duplicate_imports_total").Inc()
 		return nil
 	default:
@@ -347,8 +331,13 @@ func (p *Proxy) importSession(ctx context.Context, node, token, tenant string, s
 	}
 }
 
-// deleteSession removes a session from a node.
+// deleteSession removes a session from a node. Every session delete the
+// proxy makes on its own account goes through here, and FaultDelete fails
+// it.
 func (p *Proxy) deleteSession(ctx context.Context, node, token string) error {
+	if err := p.cfg.Faults.Fault(FaultDelete); err != nil {
+		return err
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, node+"/v1/sessions/"+token, nil)
 	if err != nil {
 		return err
@@ -365,21 +354,14 @@ func (p *Proxy) deleteSession(ctx context.Context, node, token string) error {
 	return nil
 }
 
-// failover restores a dead node's sessions onto the survivors. Two
-// sources, tried in order:
-//
-//  1. Replicas — shared-nothing: every survivor's spill store is asked for
-//     replicas of sessions that no longer exist anywhere live, and the
-//     freshest copy of each is promoted onto its new ring owner. This
-//     needs nothing from the dead node, not even its disk.
-//  2. The dead node's snapshot directory (when DataDirs maps one) — the
-//     fallback for sessions that never got a replica (single-node rings,
-//     a push that had not landed yet). Files for already-promoted tokens
-//     are neutralized, never imported: the replica is at least as fresh.
-//
-// Recovered and neutralized files are renamed (<name>.snap.recovered), so
-// the dead node restarting later cannot resurrect a stale copy of a
-// session that now lives elsewhere.
+// failover restores a dead node's sessions from the survivors' replica
+// stores — shared-nothing: nothing of the dead node is read, not even its
+// disk. A session counts as orphaned unless some live copy's watermark is
+// at least its freshest replica's. An orphan's live copies are all older
+// than that replica, so they are deleted, and the replica is imported onto
+// the session's new ring owner and queued for re-replication, so the
+// cluster converges back to primary + replica under the new placement.
+// Callers hold workMu.
 func (p *Proxy) failover(ctx context.Context, node string) {
 	p.mu.Lock()
 	p.recover++
@@ -389,40 +371,23 @@ func (p *Proxy) failover(ctx context.Context, node string) {
 		p.recover--
 		p.mu.Unlock()
 	}()
-	promoted := p.promoteReplicas(ctx, node)
-	p.failoverFromDisk(ctx, node, promoted)
-}
-
-// promoteReplicas recovers a dead node's sessions from the survivors'
-// replica stores, returning the set of promoted tokens. The freshest
-// (highest-watermark) copy of each orphaned session wins; after import the
-// token is queued for re-replication, so the cluster converges back to
-// primary + replica under the new placement.
-func (p *Proxy) promoteReplicas(ctx context.Context, node string) map[string]bool {
-	promoted := make(map[string]bool)
 	ring := p.currentRing()
 	if ring.Len() == 0 {
-		return promoted
+		return
 	}
-	// Sessions that still exist somewhere live are not orphans — their
-	// replicas must stay replicas, or a promotion would fork the session.
-	alive := make(map[string]bool)
-	for _, n := range ring.Nodes() {
-		infos, err := p.listNode(ctx, n, p.adminAuth())
-		if err != nil {
-			p.log.Warn("failover: listing node failed; skipping replica promotion",
-				"node", n, "err", err)
-			return promoted
-		}
-		for _, s := range infos {
-			alive[s.ID] = true
-		}
+	// An unreadable ring member might hold a live copy, and promoting over
+	// it would fork the session.
+	inv, err := p.inventory(ctx)
+	if err != nil {
+		p.log.Warn("failover: a listed node's sessions are unknown; skipping replica promotion",
+			"dead", node, "err", err)
+		return
 	}
 	type candidate struct {
 		holder string
 		info   server.ReplicaInfo
 	}
-	best := make(map[string]candidate) // replica key → freshest copy
+	best := make(map[string]candidate) // token → freshest replica
 	for _, n := range ring.Nodes() {
 		reps, err := p.listReplicas(ctx, n)
 		if err != nil {
@@ -430,138 +395,50 @@ func (p *Proxy) promoteReplicas(ctx context.Context, node string) map[string]boo
 			continue
 		}
 		for _, rep := range reps {
-			if alive[rep.Token] {
-				continue
-			}
-			if cur, ok := best[rep.Key]; !ok || rep.Seq > cur.info.Seq {
-				best[rep.Key] = candidate{holder: n, info: rep}
+			if cur, ok := best[rep.Token]; !ok || rep.Seq > cur.info.Seq {
+				best[rep.Token] = candidate{holder: n, info: rep}
 			}
 		}
 	}
-	keys := make([]string, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
+	tokens := make([]string, 0, len(best))
+	for token := range best {
+		tokens = append(tokens, token)
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		c := best[key]
-		token := c.info.Token
+	sort.Strings(tokens)
+	promoted := 0
+	for _, token := range tokens {
+		c := best[token]
 		want := ring.Lookup(token)
-		if want == "" {
+		if live := inv[token]; want == "" || len(live) > 0 && freshest(live, "").info.MutSeq >= c.info.Seq {
 			continue
 		}
-		data, _, err := p.getReplica(ctx, c.holder, key)
-		if err != nil {
+		if err := p.promote(ctx, c.holder, c.info, want, inv[token]); err != nil {
 			p.reg.Counter("gdrproxy_recovery_failures_total").Inc()
-			p.log.Warn("pulling replica for promotion failed", "key", key, "holder", c.holder, "err", err)
+			p.log.Warn("promoting replica failed", "token", token, "from", c.holder, "to", want, "err", err)
 			continue
 		}
-		if err := p.importSession(ctx, want, token, c.info.Tenant, data); err != nil {
-			p.reg.Counter("gdrproxy_recovery_failures_total").Inc()
-			p.log.Warn("promoting replica failed", "token", token, "to", want, "err", err)
-			continue
-		}
-		promoted[token] = true
+		promoted++
 		p.reg.Counter("gdrproxy_replica_promotions_total").Inc()
 		p.log.Info("promoted replica", "token", token, "seq", c.info.Seq,
-			"from", c.holder, "to", want)
-		// The promoted copy is the new primary; re-derive its replica.
+			"from", c.holder, "to", want, "dead", node)
 		p.enqueueReplicate(token)
 	}
-	if len(promoted) > 0 {
-		p.reg.Counter("gdrproxy_recovered_sessions_total").Add(int64(len(promoted)))
-	}
-	return promoted
+	p.reg.Counter("gdrproxy_recovered_sessions_total").Add(int64(promoted))
 }
 
-// failoverFromDisk restores whatever promoteReplicas could not from the
-// dead node's snapshot directory, when one is configured.
-func (p *Proxy) failoverFromDisk(ctx context.Context, node string, promoted map[string]bool) {
-	dir := p.cfg.DataDirs[node]
-	if dir == "" {
-		if len(promoted) == 0 {
-			p.log.Warn("dead node has no data dir and no replicas; its sessions are unrecoverable until it returns", "node", node)
-		}
-		return
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil {
-		p.log.Warn("scanning dead node's data dir failed", "node", node, "dir", dir, "err", err)
-		return
-	}
-	sort.Strings(names)
-	ring := p.currentRing()
-	recovered := 0
-	for _, path := range names {
-		token, tenant := parseSnapName(path)
-		if token == "" {
-			continue
-		}
-		if promoted[token] {
-			// A fresher (or equal) replica already became the new primary;
-			// importing the disk copy over it would roll the session back.
-			// Neutralize the file so a node restart cannot resurrect it.
-			if err := os.Rename(path, path+".recovered"); err != nil {
-				p.log.Warn("renaming superseded snapshot failed", "path", path, "err", err)
-			}
-			continue
-		}
-		if p.staleAt(token) == node {
-			// A superseded copy a failed source delete left behind — the
-			// fresh copy lives elsewhere. Neutralize the file instead of
-			// restoring it; the dead server's in-memory copy is gone too.
-			if err := os.Rename(path, path+".stale"); err != nil {
-				p.log.Warn("renaming stale snapshot failed", "path", path, "err", err)
-				continue
-			}
-			p.clearStale(token)
-			continue
-		}
-		want := ring.Lookup(token)
-		if want == "" {
-			p.log.Warn("no live node to recover session onto", "token", token)
-			continue
-		}
-		if err := p.recoverOne(ctx, path, token, tenant, want); err != nil {
-			p.reg.Counter("gdrproxy_recovery_failures_total").Inc()
-			p.log.Warn("recovering session failed", "token", token, "to", want, "err", err)
-			continue
-		}
-		recovered++
-	}
-	p.reg.Counter("gdrproxy_recovered_sessions_total").Add(int64(recovered))
-	p.log.Info("dead-node recovery finished", "node", node, "recovered", recovered, "snapshots", len(names))
-}
-
-// recoverOne imports one snapshot file onto a live node and renames the
-// file so it cannot be restored twice.
-func (p *Proxy) recoverOne(ctx context.Context, path, token, tenant, to string) error {
-	if ferr := p.cfg.Faults.Fault(FaultRecover); ferr != nil {
-		return ferr
-	}
-	data, err := os.ReadFile(path)
+// promote imports one replica onto its session's ring owner, first
+// deleting the session's live copies, which are all older than it.
+func (p *Proxy) promote(ctx context.Context, holder string, rep server.ReplicaInfo, to string, older []sessionCopy) error {
+	data, _, err := p.getReplica(ctx, holder, rep.Key)
 	if err != nil {
 		return err
 	}
-	if err := p.importSession(ctx, to, token, tenant, data); err != nil {
-		return err
+	for _, c := range older {
+		if err := p.deleteSession(ctx, c.node, rep.Token); err != nil {
+			return err
+		}
 	}
-	if err := os.Rename(path, path+".recovered"); err != nil {
-		p.log.Warn("renaming recovered snapshot failed; a node restart may resurrect a stale copy",
-			"path", path, "err", err)
-	}
-	return nil
-}
-
-// parseSnapName extracts the token and owning tenant from a snapshot file
-// name (<token>.snap or <tenant>@<token>.snap — the store's naming).
-func parseSnapName(path string) (token, tenant string) {
-	base := strings.TrimSuffix(filepath.Base(path), ".snap")
-	tenant, token, owned := strings.Cut(base, "@")
-	if !owned {
-		return base, ""
-	}
-	return token, tenant
+	return p.importSession(ctx, to, rep.Token, rep.Tenant, data, rep.Seq)
 }
 
 // adminAuth renders the proxy's own Authorization header value ("" in

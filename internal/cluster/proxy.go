@@ -29,10 +29,9 @@ const (
 	FaultExport faultfs.Point = "cluster.export"
 	// FaultImport fails the import-on-create on the destination node.
 	FaultImport faultfs.Point = "cluster.import"
-	// FaultDelete fails the source-side delete that finishes a migration.
+	// FaultDelete fails a session delete the proxy makes: a migration's
+	// source delete, or a superseded copy's.
 	FaultDelete faultfs.Point = "cluster.delete"
-	// FaultRecover fails reading one snapshot during dead-node recovery.
-	FaultRecover faultfs.Point = "cluster.recover"
 	// FaultReplicate fails a replica push before it leaves the proxy.
 	FaultReplicate faultfs.Point = "cluster.replicate"
 )
@@ -43,12 +42,6 @@ type Config struct {
 	// "http://127.0.0.1:9001". All start presumed live; the health loop
 	// corrects that within FailAfter checks.
 	Nodes []string
-	// DataDirs maps a node URL to its -data-dir as seen from the proxy
-	// (shared filesystem or local loopback deployment). A dead node's
-	// sessions are restored onto the survivors from these snapshots;
-	// without an entry, sessions on a crashed node are lost until it
-	// returns.
-	DataDirs map[string]string
 	// VNodes is the virtual-node count per node (DefaultVNodes if 0).
 	VNodes int
 	// AdminKey is the bearer key the proxy itself presents for membership
@@ -75,10 +68,11 @@ type Config struct {
 // nodeState is one node's membership view. All fields are guarded by the
 // owning Proxy's mu.
 type nodeState struct {
-	fails   int // consecutive failed probes
-	succs   int // consecutive successful probes while dead (rejoin hysteresis)
-	live    bool
-	drained bool // operator-removed; health must not re-admit
+	fails   int  // consecutive failed probes
+	succs   int  // consecutive successful probes while dead (rejoin hysteresis)
+	live    bool // a ring member
+	drained bool // operator-removed; health must not re-admit it to the ring
+	dead    bool // declared dead by the health loop; unlisted until admit applies rule 1
 }
 
 // Proxy is the stateless cluster gateway: it consistent-hashes session
@@ -95,12 +89,16 @@ type Proxy struct {
 	rp     *httputil.ReverseProxy
 	urls   map[string]*url.URL // node -> parsed base URL (read-only after New)
 
+	// workMu serializes placement work — rebalances, drains, failovers,
+	// node admissions and audits — so each acts on an inventory no other
+	// pass is changing, and no token is mid-move while copies are settled.
+	workMu sync.Mutex
+
 	mu        sync.Mutex
 	ring      *Ring                    // gdr:guarded-by mu — current immutable ring
 	nodes     map[string]*nodeState    // gdr:guarded-by mu
-	overrides map[string]string        // gdr:guarded-by mu — token -> node, pre-migration routing
+	overrides map[string]string        // gdr:guarded-by mu — token -> node, routing pins
 	migrating map[string]chan struct{} // gdr:guarded-by mu — tokens mid-move; closed when done
-	stale     map[string]string        // gdr:guarded-by mu — token -> node holding a superseded copy
 	recover   int                      // gdr:guarded-by mu — dead-node recoveries in flight
 	settleTil time.Time                // gdr:guarded-by mu — 404→503 window after ring changes
 
@@ -149,7 +147,6 @@ func New(cfg Config) (*Proxy, error) {
 		nodes:     make(map[string]*nodeState, len(cfg.Nodes)),
 		overrides: make(map[string]string),
 		migrating: make(map[string]chan struct{}),
-		stale:     make(map[string]string),
 		replPend:  make(map[string]struct{}),
 		replDrop:  make(map[string]struct{}),
 		replWake:  make(chan struct{}, 1),
@@ -243,8 +240,9 @@ func (p *Proxy) currentRing() *Ring {
 	return p.ring
 }
 
-// routeToken picks the node serving a token right now: a migration
-// override if one is pending, the ring owner otherwise. Zero-alloc — this
+// routeToken picks the node serving a token right now: its routing pin if
+// one is set (a pending move, or a kept copy off its ring owner), the ring
+// owner otherwise. Zero-alloc — this
 // plus the ring lookup is the per-request routing cost.
 func (p *Proxy) routeToken(token string) string {
 	p.mu.Lock()

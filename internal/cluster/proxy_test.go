@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +18,10 @@ import (
 
 // fakeSession is what a fakeNode stores per token.
 type fakeSession struct {
-	tenant string
-	snap   []byte
-	seq    uint64 // mutation sequence reported on export
+	tenant   string
+	snap     []byte
+	seq      uint64 // mutation sequence reported on export, listing and 409
+	building bool   // a create still in flight: its 409 carries no watermark
 }
 
 // fakeReplica is one spill-store entry on a fakeNode.
@@ -42,6 +41,7 @@ type fakeNode struct {
 	replicas map[string]fakeReplica
 	calls    []string // "METHOD path" log, in arrival order
 	down     bool     // refuse everything with a closed-ish 500
+	unlisted bool     // answer session listings 503, as a node that cannot list
 }
 
 func newFakeNode(t *testing.T) *fakeNode {
@@ -65,8 +65,11 @@ func newFakeNode(t *testing.T) *fakeNode {
 		var req server.CreateSessionRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
 		n.mu.Lock()
-		if _, dup := n.sessions[token]; dup {
+		if held, dup := n.sessions[token]; dup {
 			n.mu.Unlock()
+			if !held.building {
+				w.Header().Set(server.MutationSeqHeader, fmt.Sprint(held.seq))
+			}
 			w.WriteHeader(http.StatusConflict)
 			_ = json.NewEncoder(w).Encode(server.ErrorBody{Error: "token in use"})
 			return
@@ -79,9 +82,14 @@ func newFakeNode(t *testing.T) *fakeNode {
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		n.record(r)
 		n.mu.Lock()
+		if n.unlisted {
+			n.mu.Unlock()
+			http.Error(w, "cannot list", http.StatusServiceUnavailable)
+			return
+		}
 		list := server.SessionList{}
 		for token, s := range n.sessions {
-			list.Sessions = append(list.Sessions, server.SessionInfo{ID: token, Tenant: s.tenant})
+			list.Sessions = append(list.Sessions, server.SessionInfo{ID: token, Tenant: s.tenant, MutSeq: s.seq})
 		}
 		n.mu.Unlock()
 		sortSessions(list.Sessions)
@@ -424,11 +432,11 @@ func TestProxyMigrationPreservesTenant(t *testing.T) {
 }
 
 // TestProxyStaleSourceResolvedBySweep drives the delete-failure path: the
-// destination copy wins immediately and is ledgered as the only
-// authoritative one; a ring flip back to the stale node must NOT route to
-// the superseded copy; and once deletes heal, exactly one copy — the fresh
-// one, identified by its mutated snapshot bytes — survives on the ring
-// owner.
+// destination copy wins immediately and routing stays on it while the
+// superseded source copy lingers; a ring flip back to the stale node must
+// NOT route to the superseded copy; and once deletes heal, exactly one
+// copy — the fresh one, identified by its mutated snapshot bytes —
+// survives on the ring owner.
 func TestProxyStaleSourceResolvedBySweep(t *testing.T) {
 	faults := faultfs.New(1)
 	p, nodes, ts := newTestProxy(t, 2, func(c *Config) { c.Faults = faults })
@@ -450,11 +458,11 @@ func TestProxyStaleSourceResolvedBySweep(t *testing.T) {
 	}
 	// Mark the fresh copy so the end state proves which one survived: the
 	// destination copy diverges from the stale one the moment feedback
-	// lands on it, and v2 stands in for that drift.
+	// lands on it, and v2 at watermark 1 stands in for that round.
 	fresh := []byte("snap-" + token + "-v2")
 	d := nodeByURL(nodes, dst)
 	d.mu.Lock()
-	d.sessions[token] = fakeSession{snap: fresh}
+	d.sessions[token] = fakeSession{snap: fresh, seq: 1}
 	d.mu.Unlock()
 	statusCall := "GET /v1/sessions/" + token + "/status"
 	mustStatus := func(label string) {
@@ -472,8 +480,9 @@ func TestProxyStaleSourceResolvedBySweep(t *testing.T) {
 		t.Fatal("a request routed to the stale source copy during the overlap")
 	}
 	// Ring flips back while deletes are still failing: the token's hash
-	// owner is src again — the node holding the SUPERSEDED copy. The
-	// ledger's routing pin must keep serving the fresh dst copy.
+	// owner is src again — the node holding the SUPERSEDED copy. The stale
+	// copy cannot be deleted and the older copy cannot absorb the move
+	// back, so routing must keep serving the fresh dst copy.
 	if err := p.AddNode(context.Background(), src); err == nil {
 		t.Fatal("rebalance onto a node holding an undeletable stale copy should report the stuck move")
 	}
@@ -481,8 +490,8 @@ func TestProxyStaleSourceResolvedBySweep(t *testing.T) {
 	if nodeByURL(nodes, src).saw(statusCall) {
 		t.Fatal("ring flip-back routed to the stale copy; the fresh one must stay pinned")
 	}
-	// Deletes heal: the sweep removes the stale copy, then the rebalance
-	// moves the fresh copy onto its ring owner.
+	// Deletes heal: the rebalance deletes the stale copy, then moves the
+	// fresh copy onto its ring owner.
 	faults.Clear()
 	if err := p.Rebalance(context.Background()); err != nil {
 		t.Fatalf("healed rebalance: %v", err)
@@ -508,71 +517,233 @@ func TestProxyStaleSourceResolvedBySweep(t *testing.T) {
 	if string(got) != string(fresh) {
 		t.Fatalf("the STALE copy survived the heal: snap = %q, want %q", got, fresh)
 	}
+	mustStatus("after heal")
 }
 
-// TestProxyFailoverRestoresFromSnapshots covers the crash path: a dead
-// node's sessions come back on the survivors from its snapshot directory,
-// and the recovered files are renamed so a node restart cannot resurrect
-// stale copies.
-func TestProxyFailoverRestoresFromSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	var deadURL string
-	p, nodes, ts := newTestProxy(t, 3, func(c *Config) {
-		c.DataDirs = map[string]string{c.Nodes[2]: dir}
-		deadURL = c.Nodes[2]
-	})
-	tokens := []string{strings.Repeat("11", 16), strings.Repeat("22", 16)}
-	for i, token := range tokens {
-		name := token + ".snap"
-		if i == 1 {
-			name = "acme@" + name
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("snap-"+token), 0o644); err != nil {
-			t.Fatal(err)
-		}
+// TestProxyMoveConflictNeedsFresherCopy pins the 409 rule of a move: the
+// destination's copy stands in for the import only when its watermark is
+// at least the source's. An older copy, or one still being built (no
+// watermark on the 409), fails the move, and the source stays, routed.
+func TestProxyMoveConflictNeedsFresherCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		held  fakeSession
+		moved bool
+	}{
+		{"older watermark", fakeSession{seq: 2}, false},
+		{"still being built", fakeSession{seq: 9, building: true}, false},
+		{"equal watermark", fakeSession{seq: 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, nodes, _ := newTestProxy(t, 2, nil)
+			token := strings.Repeat("5a", 16)
+			src, dst := nodes[0], nodes[1]
+			src.mu.Lock()
+			src.sessions[token] = fakeSession{seq: 3, snap: []byte("fresh")}
+			src.mu.Unlock()
+			dst.mu.Lock()
+			dst.sessions[token] = tc.held
+			dst.mu.Unlock()
+			err := p.runMoves(context.Background(), []move{{token: token, from: src.ts.URL, to: dst.ts.URL}})
+			if moved := err == nil; moved != tc.moved {
+				t.Fatalf("move reported moved=%v (err %v), want %v", moved, err, tc.moved)
+			}
+			if src.has(token) == tc.moved {
+				t.Fatalf("source copy kept=%v, want %v", src.has(token), !tc.moved)
+			}
+			if got := p.routeToken(token); !tc.moved && got != src.ts.URL {
+				t.Fatalf("routing points at %s after the failed move, want the source", got)
+			}
+		})
 	}
-	// Kill the node the way the health loop would see it, then fail over.
-	dead := nodeByURL(nodes, deadURL)
-	dead.mu.Lock()
-	dead.down = true
-	dead.mu.Unlock()
-	p.mu.Lock()
-	p.nodes[deadURL].live = false
-	p.ring = p.ring.Remove(deadURL)
-	p.mu.Unlock()
-	p.failover(context.Background(), deadURL)
+}
 
-	ring := p.currentRing()
-	for i, token := range tokens {
-		owner := ring.Lookup(token)
-		own := nodeByURL(nodes, owner)
-		if own == nil || !own.has(token) {
-			t.Fatalf("session %s not recovered onto ring owner %s", token, owner)
-		}
-		own.mu.Lock()
-		s := own.sessions[token]
-		own.mu.Unlock()
-		if string(s.snap) != "snap-"+token {
-			t.Fatalf("recovered snapshot bytes = %q", s.snap)
-		}
-		if i == 1 && s.tenant != "acme" {
-			t.Fatalf("recovered session tenant = %q, want acme", s.tenant)
-		}
-		resp, err := http.Get(ts.URL + "/v1/sessions/" + token + "/status")
+// TestProxyPartialInventorySettlesNothing: a copy a failed listing hides
+// may be the one routing points at, so while any listed node cannot list,
+// neither the audit nor a rebalance deletes a copy or moves routing, and a
+// drain is refused with membership unchanged. Each case holds the routed
+// copy at watermark 5 and an older leftover at watermark 3 on the ring
+// owner; once the listing heals, the leftover goes and the routed copy
+// ends on the ring owner.
+func TestProxyPartialInventorySettlesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// setup places the routed copy and returns its node; nodes[0] is
+		// the token's ring owner.
+		setup func(t *testing.T, p *Proxy, nodes []*fakeNode, token string) *fakeNode
+	}{
+		{"routed ring member", func(t *testing.T, p *Proxy, nodes []*fakeNode, token string) *fakeNode {
+			// nodes[1] holds the leftover (a source delete that failed); the
+			// ring owner serves.
+			nodes[0].putSeq(token, 5, "fresh")
+			nodes[1].putSeq(token, 3, "stale")
+			return nodes[0]
+		}},
+		{"routed drained node", func(t *testing.T, p *Proxy, nodes []*fakeNode, token string) *fakeNode {
+			// nodes[1] is drained while its move fails, so it keeps serving
+			// the session, pinned; the ring owner holds an older leftover.
+			nodes[1].putSeq(token, 5, "fresh")
+			faults := faultfs.New(1)
+			p.cfg.Faults = faults
+			faults.Set(FaultImport, faultfs.Rule{P: 1})
+			if err := p.RemoveNode(context.Background(), nodes[1].ts.URL); err == nil {
+				t.Fatal("drain with a failing import should report the stuck move")
+			}
+			p.cfg.Faults = nil
+			nodes[0].putSeq(token, 3, "stale")
+			return nodes[1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, nodes, _ := newTestProxy(t, 3, nil)
+			token := strings.Repeat("7e", 16)
+			owner := p.currentRing().Lookup(token)
+			for i, n := range nodes {
+				if n.ts.URL == owner {
+					nodes[0], nodes[i] = nodes[i], nodes[0]
+				}
+			}
+			routed := tc.setup(t, p, nodes, token)
+			mustHold := func(label string) {
+				t.Helper()
+				if got := p.routeToken(token); got != routed.ts.URL {
+					t.Fatalf("%s: routing moved to %s, want the routed copy's node %s", label, got, routed.ts.URL)
+				}
+				if !nodes[0].has(token) || !nodes[1].has(token) {
+					t.Fatalf("%s: a copy was deleted on a partial inventory", label)
+				}
+			}
+			mustHold("set-up")
+			routed.mu.Lock()
+			routed.unlisted = true
+			routed.mu.Unlock()
+			p.auditReplicas(context.Background())
+			mustHold("audit")
+			if err := p.Rebalance(context.Background()); err == nil {
+				t.Fatal("a rebalance without a full inventory reported success")
+			}
+			mustHold("rebalance")
+			ringBefore := p.currentRing().Version()
+			if err := p.RemoveNode(context.Background(), nodes[2].ts.URL); err == nil {
+				t.Fatal("a drain without a full inventory reported success")
+			}
+			if p.currentRing().Version() != ringBefore || !p.currentRing().Has(nodes[2].ts.URL) {
+				t.Fatal("a drain that could not be planned still changed membership")
+			}
+			mustHold("refused drain")
+
+			routed.mu.Lock()
+			routed.unlisted = false
+			routed.mu.Unlock()
+			if err := p.Rebalance(context.Background()); err != nil {
+				t.Fatalf("healed rebalance: %v", err)
+			}
+			if nodes[1].has(token) || !nodes[0].has(token) {
+				t.Fatal("after the heal the session is not exactly on its ring owner")
+			}
+			nodes[0].mu.Lock()
+			got := nodes[0].sessions[token]
+			nodes[0].mu.Unlock()
+			if string(got.snap) != "fresh" {
+				t.Fatalf("the ring owner holds the %q copy, want the routed one", got.snap)
+			}
+			if route := p.routeToken(token); route != owner {
+				t.Fatalf("routing points at %s after the heal, want the ring owner", route)
+			}
+		})
+	}
+}
+
+// putSeq stores a session copy at a given watermark, its snapshot bytes
+// naming it.
+func (n *fakeNode) putSeq(token string, seq uint64, snap string) {
+	n.mu.Lock()
+	n.sessions[token] = fakeSession{seq: seq, snap: []byte(snap)}
+	n.mu.Unlock()
+}
+
+// TestProxyFailoverOrphanRule: a dead node's session is promoted from its
+// freshest replica unless a live copy is at least as fresh; an older live
+// copy (a leftover) is deleted first, so one copy remains either way.
+func TestProxyFailoverOrphanRule(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		liveSeq  uint64
+		promoted bool
+	}{
+		{"older live copy", 2, true},
+		{"live copy as fresh", 5, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, nodes, _ := newTestProxy(t, 3, nil)
+			token := strings.Repeat("3c", 16)
+			owner := p.currentRing().Lookup(token)
+			var survivors []*fakeNode
+			for _, n := range nodes {
+				if n.ts.URL != owner {
+					survivors = append(survivors, n)
+				}
+			}
+			survivors[0].mu.Lock()
+			survivors[0].sessions[token] = fakeSession{seq: tc.liveSeq, snap: []byte("live")}
+			survivors[0].mu.Unlock()
+			survivors[1].putReplica(token, 5, []byte("replica-v5"))
+			p.mu.Lock()
+			p.nodes[owner].live, p.nodes[owner].dead = false, true
+			p.ring = p.ring.Remove(owner)
+			p.mu.Unlock()
+			p.failover(context.Background(), owner)
+
+			want := "live"
+			if tc.promoted {
+				want = "replica-v5"
+			}
+			var copies []string
+			for _, n := range survivors {
+				n.mu.Lock()
+				if s, ok := n.sessions[token]; ok {
+					copies = append(copies, string(s.snap))
+				}
+				n.mu.Unlock()
+			}
+			if len(copies) != 1 || copies[0] != want {
+				t.Fatalf("copies after failover = %q, want only %q", copies, want)
+			}
+		})
+	}
+}
+
+// TestProxyCreateWaitsForFirstReplica: a create answers only after its
+// first replica landed (no replicator runs here), and a failing first push
+// is counted without failing the create.
+func TestProxyCreateWaitsForFirstReplica(t *testing.T) {
+	faults := faultfs.New(1)
+	p, nodes, ts := newTestProxy(t, 3, func(c *Config) { c.Faults = faults })
+	create := func() string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var created server.CreateSessionResponse
+		_ = json.NewDecoder(resp.Body).Decode(&created)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("recovered session unreachable: %d", resp.StatusCode)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d", resp.StatusCode)
 		}
+		return created.Session.ID
 	}
-	left, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil {
-		t.Fatal(err)
+	token := create()
+	if _, ok := replicaOf(p, nodes, token).replica(token); !ok {
+		t.Fatal("the create answered before its first replica landed")
 	}
-	if len(left) != 0 {
-		t.Fatalf("recovered snapshots not renamed: %v", left)
+	faults.Set(FaultReplicate, faultfs.Rule{P: 1})
+	token = create()
+	if _, ok := replicaOf(p, nodes, token).replica(token); ok {
+		t.Fatal("a failing push still stored a replica")
+	}
+	if n := p.Registry().Counter("gdrproxy_replica_push_failures_total").Value(); n != 1 {
+		t.Fatalf("push failures = %d, want 1", n)
 	}
 }
 

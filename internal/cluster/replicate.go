@@ -19,40 +19,50 @@ import (
 // and in the replica spill store of the next distinct ring node. The proxy
 // drives the copies:
 //
-//	push    — after every mutating round (feedback 200, create 201) the
-//	          session's token is queued; the replicator exports the
-//	          snapshot from the primary and PUTs it to the replica node,
-//	          watermarked with the mutation sequence the bytes capture.
-//	          The store rejects stale watermarks, so a delayed push can
-//	          never roll a replica back.
-//	promote — when a node dies, failover() pulls the freshest replica of
-//	          each of its sessions from the survivors and imports it onto
-//	          the new ring owner — no access to the dead node's disk
-//	          required. The disk path remains as a fallback for sessions
-//	          that never got a replica (single-node rings, push lag).
-//	audit   — every health tick the anti-entropy sweep re-derives the
-//	          desired placement (primary per ring owner, replica per
-//	          LookupReplica) and queues pushes for missing or lagging
-//	          replicas. Because the ring only contains live nodes, a dead
-//	          replica holder's keys are automatically re-hinted to the
-//	          next distinct survivor, and move back when it rejoins.
+//	push    — a create's first replica is pushed before the 201 goes back,
+//	          so a session has a replica from its first response; after
+//	          every feedback 200 the token is queued, and the replicator
+//	          exports the snapshot from the primary and PUTs it to the
+//	          replica node, watermarked with the mutation sequence the bytes
+//	          capture. The store rejects stale watermarks, so a delayed push
+//	          can never roll a replica back. Pushes after the first are
+//	          asynchronous: a node lost for good takes with it the rounds
+//	          since its last landed push (gdrd_replica_lag_rounds shows
+//	          that exposure).
+//	promote — when a node dies, failover() imports the freshest replica of
+//	          each orphaned session onto its new ring owner — no access to
+//	          the dead node's disk required.
+//	audit   — every health tick the anti-entropy sweep settles duplicate
+//	          primaries (see settle), re-derives the desired placement
+//	          (each kept copy is a routed primary; its replica goes to
+//	          LookupReplica, or to the ring owner for a copy pinned onto
+//	          that node) and queues pushes for missing or lagging
+//	          replicas. It acts only on a full inventory. Because the ring only
+//	          contains live nodes, a dead replica holder's keys are
+//	          automatically re-hinted to the next distinct survivor, and
+//	          move back when it rejoins.
 //	gc      — replicas whose session is gone or whose placement moved are
 //	          deleted, but only in a quiet cluster (every configured node
-//	          live, no inventory errors, no failover or migration in
-//	          flight): deleting a copy is the one irreversible act here,
-//	          so it waits until the sweep can see the whole board.
+//	          live and the whole inventory readable): deleting a copy is the
+//	          one irreversible act here, so it waits until the sweep can see
+//	          the whole board.
 
 // observeForReplication inspects one successful upstream response on the
-// proxying hot path and queues replica work. It never blocks: the queue is
-// a map merge plus a buffered-channel doorbell.
+// proxying hot path and queues replica work. Only a create waits, for its
+// first replica push; everything else is a map merge plus a
+// buffered-channel doorbell.
 func (p *Proxy) observeForReplication(resp *http.Response) {
 	r := resp.Request
 	switch {
 	case r.Method == http.MethodPost && resp.StatusCode == http.StatusCreated && r.URL.Path == "/v1/sessions":
-		// A fresh session: replicate it right away, so it survives its
-		// owner's death even before the first feedback round.
+		// A fresh session gets its replica before the client hears of it,
+		// so it survives its owner's death from its first response. A
+		// failed push does not fail the create; the audit retries it.
 		if token := r.Header.Get(server.AssignTokenHeader); token != "" {
-			p.enqueueReplicate(token)
+			if err := p.pushReplica(r.Context(), token); err != nil {
+				p.reg.Counter("gdrproxy_replica_push_failures_total").Inc()
+				p.log.Warn("first replica push failed; the audit will retry", "token", token, "err", err)
+			}
 		}
 	case r.Method == http.MethodPost && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/feedback"):
 		if token := sessionTokenFromPath(r.URL.Path); token != "" {
@@ -128,15 +138,11 @@ func (p *Proxy) drainReplication(ctx context.Context) error {
 	for t := range p.replPend {
 		pushes = append(pushes, t)
 	}
-	drops := make([]string, 0, len(p.replDrop))
-	for t := range p.replDrop {
-		drops = append(drops, t)
-	}
+	drops := p.replDrop
+	p.replDrop = make(map[string]struct{})
 	clear(p.replPend)
-	clear(p.replDrop)
 	p.replMu.Unlock()
 	sort.Strings(pushes)
-	sort.Strings(drops)
 	var firstErr error
 	for _, token := range pushes {
 		if err := p.pushReplica(ctx, token); err != nil {
@@ -147,8 +153,8 @@ func (p *Proxy) drainReplication(ctx context.Context) error {
 			}
 		}
 	}
-	for _, token := range drops {
-		p.dropReplicas(ctx, token)
+	if len(drops) > 0 {
+		p.dropReplicas(ctx, drops)
 	}
 	return firstErr
 }
@@ -163,17 +169,13 @@ func (p *Proxy) pushReplica(ctx context.Context, token string) error {
 	if primary == "" {
 		return fmt.Errorf("cluster: no node serves %s", token)
 	}
-	target := p.currentRing().LookupReplica(token)
+	target := replicaTarget(p.currentRing(), token, primary)
 	if target == "" {
 		return nil // single-node ring: nowhere distinct to replicate
 	}
 	snap, seq, tenant, err := p.exportSession(ctx, primary, token)
 	if err != nil {
 		return fmt.Errorf("exporting %s from %s: %w", token, primary, err)
-	}
-	if target == primary {
-		// Placement moved while exporting; the next audit re-derives it.
-		return nil
 	}
 	if err := p.putReplica(ctx, target, replicaKey(tenant, token), seq, snap); err != nil {
 		return fmt.Errorf("pushing %s to %s: %w", token, target, err)
@@ -182,15 +184,26 @@ func (p *Proxy) pushReplica(ctx context.Context, token string) error {
 	return nil
 }
 
-// dropReplicas removes every node's replica of a deleted session.
-func (p *Proxy) dropReplicas(ctx context.Context, token string) {
+// replicaTarget is the node that holds a session's replica: the ring's
+// replica node, or the ring owner when routing pins the session onto the
+// replica node.
+func replicaTarget(ring *Ring, token, primary string) string {
+	if t := ring.LookupReplica(token); t != primary {
+		return t
+	}
+	return ring.Lookup(token)
+}
+
+// dropReplicas removes every node's replicas of the deleted sessions,
+// listing each node's spill store once for the whole batch.
+func (p *Proxy) dropReplicas(ctx context.Context, gone map[string]struct{}) {
 	for _, node := range p.currentRing().Nodes() {
 		held, err := p.listReplicas(ctx, node)
 		if err != nil {
 			continue // the quiet-cluster GC will finish the job
 		}
 		for _, rep := range held {
-			if rep.Token != token {
+			if _, ok := gone[rep.Token]; !ok {
 				continue
 			}
 			if err := p.deleteReplica(ctx, node, rep.Key); err == nil {
@@ -208,32 +221,35 @@ func replicaKey(tenant, token string) string {
 	return tenant + "@" + token
 }
 
-// auditReplicas is the anti-entropy sweep: re-derive the desired replica
-// placement from the live session inventory and queue a push for every
-// replica that is missing, misplaced, or behind its primary's mutation
-// sequence. Runs on every health tick and after ring changes (via the
-// tick that applied them).
+// auditReplicas is the anti-entropy sweep: settle duplicate primaries,
+// re-derive the desired replica placement from the kept copies and queue a
+// push for every replica that is missing, misplaced, or behind its
+// primary's mutation sequence. Without a full inventory it does nothing:
+// settling on a partial view could delete or re-route to the wrong copy.
+// Runs on every health tick and after ring changes (via the tick that
+// applied them).
 func (p *Proxy) auditReplicas(ctx context.Context) {
+	if len(p.cfg.Nodes) < 2 {
+		return // one node: no duplicates, no distinct node to hold replicas
+	}
+	p.workMu.Lock()
+	defer p.workMu.Unlock()
+	inv, err := p.inventory(ctx)
+	if err != nil {
+		return
+	}
+	kept := p.settle(ctx, inv)
 	ring := p.currentRing()
 	if ring.Len() < 2 {
-		return // no distinct node to hold replicas
+		return
 	}
-	desired := make(map[string]replicaWant) // replica key → requirement
+	// Every kept copy is routed (settle pins one off its ring owner), so
+	// every kept copy replicates.
+	desired := make(map[string]replicaWant, len(kept)) // replica key → requirement
+	for _, c := range kept {
+		desired[replicaKey(c.info.Tenant, c.info.ID)] = replicaWant{token: c.info.ID, seq: c.info.MutSeq, target: replicaTarget(ring, c.info.ID, c.node)}
+	}
 	inventoryOK := true
-	for _, node := range ring.Nodes() {
-		infos, err := p.listNode(ctx, node, p.adminAuth())
-		if err != nil {
-			p.log.Warn("replica audit: listing node failed", "node", node, "err", err)
-			inventoryOK = false
-			continue
-		}
-		for _, s := range infos {
-			if p.staleAt(s.ID) == node || ring.Lookup(s.ID) != node {
-				continue // superseded or transient copy; only primaries replicate
-			}
-			desired[replicaKey(s.Tenant, s.ID)] = replicaWant{token: s.ID, seq: s.MutSeq, target: ring.LookupReplica(s.ID)}
-		}
-	}
 	held := make(map[string]map[string]server.ReplicaInfo) // node → key → info
 	for _, node := range ring.Nodes() {
 		reps, err := p.listReplicas(ctx, node)
@@ -266,15 +282,15 @@ type replicaWant struct {
 
 // gcReplicas deletes replicas no longer called for — the session is gone
 // or its placement moved — but only in a quiet cluster: every configured
-// node live, the whole inventory readable, and no failover or migration in
-// flight. During any of those, a copy that looks superfluous may be the
-// one copy left, so the sweep keeps it.
+// node live and the whole inventory readable. Otherwise a copy that looks
+// superfluous may be the one copy left, so the sweep keeps it. (The audit
+// holds workMu, so no failover or migration is in flight.)
 func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, held map[string]map[string]server.ReplicaInfo, inventoryOK bool) {
 	if !inventoryOK {
 		return
 	}
 	p.mu.Lock()
-	quiet := p.recover == 0 && len(p.migrating) == 0 && len(p.stale) == 0
+	quiet := true
 	for _, st := range p.nodes {
 		if !st.live {
 			quiet = false

@@ -251,6 +251,47 @@ func TestProxySyncReplicasConverges(t *testing.T) {
 	}
 }
 
+// TestProxyAuditReplicatesPinnedSession: a session pinned off its ring
+// owner (the owner holds an older copy that cannot be deleted) is still the
+// routed primary, so the audit pushes it a replica on a node other than
+// its own and the quiet-cluster GC keeps that replica. It pins the session
+// once on the ring's replica node and once on the third node.
+func TestProxyAuditReplicatesPinnedSession(t *testing.T) {
+	for pick := 0; pick < 2; pick++ {
+		faults := faultfs.New(1)
+		p, nodes, _ := newTestProxy(t, 3, func(c *Config) { c.Faults = faults })
+		token := strings.Repeat("4d", 16)
+		owner := p.currentRing().Lookup(token)
+		var others []*fakeNode
+		for _, n := range nodes {
+			if n.ts.URL != owner {
+				others = append(others, n)
+			}
+		}
+		kept := others[pick]
+		nodeByURL(nodes, owner).putSeq(token, 3, "stale")
+		kept.putSeq(token, 5, "fresh")
+		faults.Set(FaultDelete, faultfs.Rule{P: 1})
+		for i := 0; i < 2; i++ { // the second audit runs the quiet-cluster GC over the pushed replica
+			if err := p.SyncReplicas(context.Background()); err != nil {
+				t.Fatalf("sync %d: %v", i, err)
+			}
+		}
+		if got := p.routeToken(token); got != kept.ts.URL {
+			t.Fatalf("routing points at %s, want the pinned fresh copy", got)
+		}
+		var holders []string
+		for _, n := range nodes {
+			if rep, ok := n.replica(token); ok && rep.seq == 5 {
+				holders = append(holders, n.ts.URL)
+			}
+		}
+		if len(holders) != 1 || holders[0] == kept.ts.URL {
+			t.Fatalf("replicas of the session pinned on %s at watermark 5 are on %v, want one on another node", kept.ts.URL, holders)
+		}
+	}
+}
+
 // TestProxyReadyzSplitsFromHealthz: /healthz keeps answering 200 while the
 // cluster is unsettled, /readyz goes 503 — the probe a load balancer
 // should watch.
@@ -294,7 +335,7 @@ func TestProxyHealthHysteresis(t *testing.T) {
 	p, nodes, _ := newTestProxy(t, 2, func(c *Config) { c.FailAfter = 3 })
 	victim := nodes[1].ts.URL
 	p.mu.Lock()
-	p.nodes[victim].live = false
+	p.nodes[victim].live, p.nodes[victim].dead = false, true
 	p.ring = p.ring.Remove(victim)
 	p.mu.Unlock()
 	for i := 1; i <= 3; i++ {
@@ -310,7 +351,7 @@ func TestProxyHealthHysteresis(t *testing.T) {
 	// A flap resets the streak: two successes, one failure, two successes
 	// again — still out.
 	p.mu.Lock()
-	p.nodes[victim].live = false
+	p.nodes[victim].live, p.nodes[victim].dead = false, true
 	p.ring = p.ring.Remove(victim)
 	p.mu.Unlock()
 	p.checkAll()

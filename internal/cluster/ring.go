@@ -10,9 +10,12 @@
 // watermarked by mutation sequence, to the next distinct node on the ring.
 // A health-checking membership loop (symmetric hysteresis in both
 // directions) removes dead nodes from the ring and promotes their sessions
-// onto the new owners from the freshest replicas — the dead node's
-// snapshot directory is only a fallback for sessions no replica covered.
-// See ARCHITECTURE.md "Cluster".
+// onto the new owners from the freshest replicas; the proxy never reads a
+// node's disk. One rule decides which copy of a session is real: a node
+// returning from the dead sheds its copies of sessions the cluster now
+// serves, and any other duplicate loses to the higher mutation watermark,
+// decided only on a full inventory (see migrate.go). See ARCHITECTURE.md
+// "Cluster".
 package cluster
 
 import (

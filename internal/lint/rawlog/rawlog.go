@@ -6,7 +6,7 @@
 // and in a JSON-logs deployment corrupts the stream a collector is parsing.
 // Only package main (the binaries under cmd/ and the examples) may talk to
 // the terminal directly; everything else must take an injected *slog.Logger
-// (or a Logf callback) and leave rendering to the caller.
+// and leave rendering to the caller.
 package rawlog
 
 import (
@@ -37,8 +37,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "rawlog",
 	Doc: "forbid log.Print*/Fatal*/Panic* and fmt.Print* outside package main: " +
 		"library and serving code must log through an injected *slog.Logger " +
-		"(or Logf callback) so output honors the daemon's format, level and " +
-		"sink configuration",
+		"so output honors the daemon's format, level and sink configuration",
 	Run: run,
 }
 
@@ -66,7 +65,7 @@ func run(pass *analysis.Pass) (any, error) {
 			case "log":
 				if forbiddenLog[fn.Name()] {
 					pass.Reportf(call.Pos(),
-						"call to log.%s in package %s: raw default-logger output bypasses the daemon's structured logging; take a *slog.Logger (or Logf callback) instead",
+						"call to log.%s in package %s: raw default-logger output bypasses the daemon's structured logging; take a *slog.Logger instead",
 						fn.Name(), pass.Pkg.Name())
 				}
 			case "fmt":

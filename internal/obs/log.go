@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"strings"
-	"sync"
 )
 
 // NewLogger builds the daemon's structured logger. format selects the
@@ -42,65 +40,4 @@ func ParseLevel(level string) (slog.Level, error) {
 	default:
 		return 0, fmt.Errorf("obs: log level %q (want debug|info|warn|error)", level)
 	}
-}
-
-// NewLogfHandler adapts a printf-style sink to slog, so embedders (and
-// tests) that configure the legacy Logf callback keep receiving the
-// daemon's logs: each record renders as "msg key=value ...", one call per
-// record. The sink is assumed to be line-oriented and concurrency-safe the
-// way log.Printf is; a mutex still serializes rendering so interleaved
-// WithAttrs clones cannot tear a line.
-func NewLogfHandler(logf func(format string, args ...any)) slog.Handler {
-	return &logfHandler{logf: logf, mu: &sync.Mutex{}}
-}
-
-// logfHandler is the slog.Handler behind NewLogfHandler. Clones made by
-// WithAttrs share the sink and mutex but own their attribute prefix.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	mu    *sync.Mutex
-	attrs string // pre-rendered " key=value" pairs from WithAttrs
-}
-
-// Enabled reports every level as enabled: filtering is the sink's business
-// (the legacy Logf contract had none).
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-// Handle renders one record through the sink.
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	b.WriteString(h.attrs)
-	r.Attrs(func(a slog.Attr) bool {
-		appendAttr(&b, a)
-		return true
-	})
-	h.mu.Lock()
-	h.logf("%s", b.String())
-	h.mu.Unlock()
-	return nil
-}
-
-// WithAttrs returns a clone carrying the extra attributes on every record.
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var b strings.Builder
-	b.WriteString(h.attrs)
-	for _, a := range attrs {
-		appendAttr(&b, a)
-	}
-	return &logfHandler{logf: h.logf, mu: h.mu, attrs: b.String()}
-}
-
-// WithGroup is accepted but flattened: the legacy line format has no
-// nesting, so group names are dropped rather than erroring.
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
-
-func appendAttr(b *strings.Builder, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	b.WriteByte(' ')
-	b.WriteString(a.Key)
-	b.WriteByte('=')
-	fmt.Fprintf(b, "%v", a.Value.Any())
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -326,23 +325,5 @@ func TestNewLoggerAndParseLevel(t *testing.T) {
 		if err != nil || lvl.String() != want {
 			t.Errorf("ParseLevel(%q) = %v, %v", name, lvl, err)
 		}
-	}
-}
-
-func TestLogfHandlerRendersLegacyLines(t *testing.T) {
-	var lines []string
-	logger := slog.New(NewLogfHandler(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}))
-	logger.Warn("skipping snapshot /tmp/x", "err", "corrupt")
-	logger.With("session", "s1").Info("request", "status", 200)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if lines[0] != "skipping snapshot /tmp/x err=corrupt" {
-		t.Errorf("line 0 = %q", lines[0])
-	}
-	if lines[1] != "request session=s1 status=200" {
-		t.Errorf("line 1 = %q", lines[1])
 	}
 }

@@ -173,6 +173,38 @@ func TestClusterModeAssignedToken(t *testing.T) {
 	}
 }
 
+// TestTokenConflictReportsLiveWatermark pins the 409 a migrating proxy
+// reads: a create that hits a live token names that copy's watermark, so
+// the proxy can tell an older destination copy from the one it moves.
+func TestTokenConflictReportsLiveWatermark(t *testing.T) {
+	_, ts := newTestServer(t, Config{ClusterMode: true})
+	token := strings.Repeat("fedcba9876543210", 2)
+	create := func() (int, string) {
+		body, _ := json.Marshal(fig1Request())
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/sessions", bytes.NewReader(body))
+		req.Header.Set(AssignTokenHeader, token)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get(MutationSeqHeader)
+	}
+	if code, _ := create(); code != http.StatusCreated {
+		t.Fatalf("create: code = %d", code)
+	}
+	if code, seq := create(); code != http.StatusConflict || seq != "0" {
+		t.Fatalf("conflict on a fresh session: code %d, watermark %q; want 409 and 0", code, seq)
+	}
+	if code := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/"+token+"/feedback",
+		FeedbackRequest{Items: []FeedbackItem{{Tid: 0, Attr: "CT", Value: "nope", Feedback: "confirm"}}}, nil); code != 200 {
+		t.Fatalf("feedback: code = %d", code)
+	}
+	if code, seq := create(); code != http.StatusConflict || seq != "1" {
+		t.Fatalf("conflict after one round: code %d, watermark %q; want 409 and 1", code, seq)
+	}
+}
+
 // TestAdminKeyAssignsAcrossTenants exercises the authenticated cluster
 // flow: an admin key places a session under another tenant's ownership
 // (what a migration import does), the owning tenant sees and uses it,

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,7 +33,9 @@ const (
 	// MutationSeqHeader carries a session's mutation-sequence watermark: on
 	// a snapshot export response it stamps which mutation the bytes capture;
 	// on a replica PUT it is the push's watermark, and the spill store
-	// rejects pushes older than what it already holds (409).
+	// rejects pushes older than what it already holds (409); on a create's
+	// 409 it is the live copy's watermark (absent while that copy is still
+	// being built).
 	MutationSeqHeader = "X-Gdr-Mutation-Seq"
 	// RequestIDHeader is the client-chosen idempotency key for feedback
 	// POSTs: a duplicate id within the session's dedup window replays the
@@ -72,6 +75,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	info, st, err := s.store.CreateAs(r.Context(), owner, req)
 	if err != nil {
+		var live tokenInUseError
+		if errors.As(err, &live) {
+			w.Header().Set(MutationSeqHeader, strconv.FormatUint(live.seq, 10))
+		}
 		writeError(w, err)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -254,7 +255,7 @@ func TestCorruptSnapshotsSkippedOnBoot(t *testing.T) {
 
 	var logged bytes.Buffer
 	srvB := New(Config{Workers: 2, Session: core.Config{Workers: 1}, DataDir: dir,
-		Logf: func(format string, args ...any) { fmt.Fprintf(&logged, format+"\n", args...) }})
+		Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	tsB := httptest.NewServer(srvB.Handler())
 	defer func() { tsB.Close(); srvB.Close() }()
 

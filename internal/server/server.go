@@ -82,6 +82,15 @@ var (
 	ErrOverloaded = errors.New("server: overloaded")
 )
 
+// tokenInUseError is ErrTokenInUse from a create that hit a live session.
+// It carries that copy's mutation watermark, which the 409 reports in
+// MutationSeqHeader so a migrating proxy can tell an older copy from a
+// newer one.
+type tokenInUseError struct{ seq uint64 }
+
+func (e tokenInUseError) Error() string { return ErrTokenInUse.Error() }
+func (e tokenInUseError) Unwrap() error { return ErrTokenInUse }
+
 // Config tunes a Server. The zero value serves with sane defaults.
 type Config struct {
 	// MaxSessions caps concurrently live sessions (default 64; <0 = no cap).
@@ -96,13 +105,8 @@ type Config struct {
 	// (clamped) Workers. Session.Workers defaults to 1 — the server scales
 	// across sessions.
 	Session core.Config
-	// Logger receives the server's structured logs. nil falls back to Logf
-	// (wrapped in a line-rendering slog handler); with both unset the server
-	// is silent.
+	// Logger receives the server's structured logs (nil = silent).
 	Logger *slog.Logger
-	// Logf is the legacy printf-style log sink, kept for embedders and
-	// tests; ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// Trace tunes request tracing. The zero value traces with defaults
 	// (ring of 256, slowest 32); Capacity < 0 disables tracing entirely at
 	// zero per-request cost.
@@ -190,16 +194,12 @@ type Server struct {
 	defaultTenant *tenantState            // the implicit tenant of open mode
 }
 
-// logger resolves the configured log sinks to one non-nil structured logger.
+// logger resolves the configured log sink to one non-nil structured logger.
 func (c Config) logger() *slog.Logger {
-	switch {
-	case c.Logger != nil:
+	if c.Logger != nil {
 		return c.Logger
-	case c.Logf != nil:
-		return slog.New(obs.NewLogfHandler(c.Logf))
-	default:
-		return slog.New(slog.DiscardHandler)
 	}
+	return slog.New(slog.DiscardHandler)
 }
 
 // New builds a Server ready to serve via Handler.

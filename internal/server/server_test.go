@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"mime/multipart"
 	"net/http"
@@ -346,7 +347,7 @@ func TestWriteJSONUnencodableBody(t *testing.T) {
 	check(rec)
 
 	var logged bytes.Buffer
-	srv := New(Config{Logf: func(format string, args ...any) { fmt.Fprintf(&logged, format+"\n", args...) }})
+	srv := New(Config{Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	defer srv.Close()
 	h := srv.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, bad)

@@ -430,11 +430,15 @@ func (s *Store) CreateAs(ctx context.Context, tenant string, req CreateSessionRe
 		s.mu.Unlock()
 		return SessionInfo{}, core.Stats{}, ErrSessionClosed
 	}
-	if _, exists := s.entries[token]; exists {
+	if held, exists := s.entries[token]; exists {
 		// Random tokens never collide; a pre-assigned one may — the proxy's
 		// migration dedup depends on this conflict being reported, not
-		// silently clobbering the live session.
+		// silently clobbering the live session, and on the live copy's
+		// watermark (none while that copy is still being built).
 		s.mu.Unlock()
+		if held != nil {
+			return SessionInfo{}, core.Stats{}, tokenInUseError{seq: held.mutSeq.Load()}
+		}
 		return SessionInfo{}, core.Stats{}, ErrTokenInUse
 	}
 	if s.maxLive > 0 && len(s.entries) >= s.maxLive {
