@@ -88,6 +88,9 @@ type Proxy struct {
 	reg    *metrics.Registry
 	rp     *httputil.ReverseProxy
 	urls   map[string]*url.URL // node -> parsed base URL (read-only after New)
+	// requests holds each node's gdrproxy_requests_total handle, resolved
+	// in New so forwarding skips the registry (read-only after New).
+	requests map[string]*metrics.Counter
 
 	// workMu serializes placement work — rebalances, drains, failovers,
 	// node admissions and audits — so each acts on an inventory no other
@@ -143,6 +146,7 @@ func New(cfg Config) (*Proxy, error) {
 		client:    cfg.Client,
 		reg:       metrics.NewRegistry(),
 		urls:      make(map[string]*url.URL, len(cfg.Nodes)),
+		requests:  make(map[string]*metrics.Counter, len(cfg.Nodes)),
 		ring:      NewRing(cfg.VNodes),
 		nodes:     make(map[string]*nodeState, len(cfg.Nodes)),
 		overrides: make(map[string]string),
@@ -164,6 +168,7 @@ func New(cfg Config) (*Proxy, error) {
 			return nil, fmt.Errorf("cluster: node %q listed twice", n)
 		}
 		p.urls[n] = u
+		p.requests[n] = p.reg.LabeledCounter("gdrproxy_requests_total", "node", n)
 		p.ring = p.ring.Add(n)
 		p.nodes[n] = &nodeState{live: true}
 	}
@@ -347,7 +352,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, node string) {
 		writeUnavailable(w, "unknown node")
 		return
 	}
-	p.reg.LabeledCounter("gdrproxy_requests_total", "node", node).Inc()
+	p.requests[node].Inc()
 	ctx := context.WithValue(r.Context(), targetKey{}, u)
 	p.rp.ServeHTTP(w, r.WithContext(ctx))
 }

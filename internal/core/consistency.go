@@ -26,19 +26,19 @@ func (s *Session) ApplyFeedback(u repair.Update, fb repair.Feedback) {
 	switch fb {
 	case repair.Retain:
 		s.gen.Lock(u.Tid, u.Attr)
-		s.index.Delete(cell)
+		s.retire(cell)
 		// Retaining a value also confirms it, which can complete a violated
 		// constant rule's LHS and force its RHS (step 3(a)i applies here too).
 		s.forcedFixes(u.Tid)
 	case repair.Reject:
 		s.gen.Prevent(u.Tid, u.Attr, u.Value)
-		s.index.Delete(cell)
+		s.retire(cell)
 		if nu, ok := s.gen.Suggest(u.Tid, u.Attr); ok {
 			s.index.Set(nu)
 		}
 	case repair.Confirm:
 		s.gen.Lock(u.Tid, u.Attr)
-		s.index.Delete(cell)
+		s.retire(cell)
 		affected := s.gen.Apply(u.Tid, u.Attr, u.Value)
 		s.Applied++
 		s.revisit(affected)
@@ -88,7 +88,7 @@ func (s *Session) revisit(tids []int) {
 	for _, tid := range tids {
 		s.tupleVer[tid]++
 		for _, attr := range s.db.Schema.Attrs {
-			s.index.Delete(repair.CellKey{Tid: tid, Attr: attr})
+			s.retire(repair.CellKey{Tid: tid, Attr: attr})
 		}
 		if s.eng.IsDirty(tid) {
 			dirty = append(dirty, tid)
@@ -102,6 +102,13 @@ func (s *Session) revisit(tids []int) {
 	for _, nu := range batch {
 		s.index.Set(nu)
 	}
+}
+
+// retire drops a cell's pending suggestion from the group index, and its
+// prediction with it.
+func (s *Session) retire(c repair.CellKey) {
+	s.index.Delete(c)
+	s.forget(c)
 }
 
 // forcedFixes applies step 3(a)i of the consistency manager to a tuple,
@@ -130,7 +137,7 @@ func (s *Session) forcedFixes(tid int) {
 			}
 			want := rule.TP[rule.RHS]
 			s.gen.Lock(tid, rule.RHS)
-			s.index.Delete(repair.CellKey{Tid: tid, Attr: rule.RHS})
+			s.retire(repair.CellKey{Tid: tid, Attr: rule.RHS})
 			affected := s.gen.Apply(tid, rule.RHS, want)
 			s.Applied++
 			s.ForcedFixes++

@@ -107,8 +107,12 @@ func (s *Session) ExportState() *SessionState {
 	for ai := 0; ai < s.db.Schema.Arity(); ai++ {
 		st.Dicts[ai] = s.db.Dict(ai).Vals()
 	}
+	// Every row is carved from one backing array.
+	cells := make([]relation.VID, 0, s.db.N()*s.db.Schema.Arity())
 	for tid := 0; tid < s.db.N(); tid++ {
-		st.Rows[tid] = append([]relation.VID(nil), s.db.Row(tid)...)
+		at := len(cells)
+		cells = append(cells, s.db.Row(tid)...)
+		st.Rows[tid] = cells[at:len(cells):len(cells)]
 		st.Weights[tid] = s.db.Weight(tid)
 	}
 	for ri := range st.RuleWeights {
@@ -210,7 +214,7 @@ func RestoreSession(st *SessionState) (*Session, error) {
 		staleBuf:     make([]bool, db.Schema.Arity()),
 		models:       make(map[string]*learn.Model, len(st.Models)),
 		hits:         make(map[string][]learn.Check, len(st.Hits)),
-		predCache:    make(map[predKey]predVal),
+		memo:         make(map[int]predVal),
 		tupleVer:     make([]uint32, db.N()),
 		initialDirty: st.InitialDirty,
 		Applied:      st.Applied,

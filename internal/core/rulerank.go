@@ -63,7 +63,7 @@ func (s *Session) FocusTopRules(n int) []int {
 	}
 	for _, u := range s.index.AppendAll(nil) {
 		if !keep[u.Tid] {
-			s.index.Delete(u.Cell())
+			s.retire(u.Cell())
 		}
 	}
 	return top

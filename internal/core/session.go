@@ -138,11 +138,17 @@ type Session struct {
 	// demand and memoize the outcome in place.
 	hits map[string][]learn.Check
 
-	// predCache memoizes committee predictions; entries are keyed on the
-	// model generation and the tuple version, so they survive across the
-	// many pool re-rankings of active learning and VOI scoring.
-	predCache map[predKey]predVal
-	tupleVer  []uint32
+	// memo holds the committee prediction for each cell's pending
+	// suggestion, keyed by cell position (tid·arity + attribute index). An
+	// entry serves only the value, committee generation and tuple version
+	// it was computed at, so it survives the many pool re-rankings of
+	// active learning and VOI scoring. It retires with its suggestion:
+	// every path that drops a cell from the group index drops the cell's
+	// entry (forget), so the memo never outgrows the instance's cells.
+	// memoPeak is the memo's largest size since it was last rebuilt.
+	memo     map[int]predVal
+	memoPeak int
+	tupleVer []uint32
 	// cats is Predict's feature scratch, reused across calls.
 	cats []string
 
@@ -199,7 +205,7 @@ func NewSession(db *relation.DB, rules []*cfd.CFD, cfg Config) (*Session, error)
 		staleBuf:     make([]bool, db.Schema.Arity()),
 		models:       make(map[string]*learn.Model),
 		hits:         make(map[string][]learn.Check),
-		predCache:    make(map[predKey]predVal),
+		memo:         make(map[int]predVal),
 		tupleVer:     make([]uint32, db.N()),
 		initialDirty: eng.DirtyCount(),
 	}
@@ -415,17 +421,16 @@ func (s *Session) scoreGroups(gs []*group.Group) {
 
 // probFrozen is Session.Prob for the read-only parallel scoring phase: it
 // serves p̃j from the prediction memo the serial warm-up just filled,
-// writing nothing. If the memo entry was lost to a capacity reset mid-warm,
-// the prediction is recomputed without memoizing — safe concurrently, since
-// the warm-up already (re)trained every committee the dirty groups touch,
-// leaving Model.Predict a pure read.
+// writing nothing. Should an entry be missing, the prediction is recomputed
+// without memoizing — safe concurrently, since the warm-up already
+// (re)trained every committee the dirty groups touch, leaving Model.Predict
+// a pure read.
 func (s *Session) probFrozen(u repair.Update) float64 {
 	m, ok := s.models[u.Attr]
 	if !ok {
 		return u.Score
 	}
-	key := predKey{cell: u.Cell(), value: u.Value}
-	if v, hit := s.predCache[key]; hit && v.modelGen == m.Gen() && v.tupleVer == s.tupleVer[u.Tid] {
+	if v, hit := s.memo[s.memoKey(u.Cell())]; hit && v.value == u.Value && v.modelGen == m.Gen() && v.tupleVer == s.tupleVer[u.Tid] {
 		if !v.ok {
 			return u.Score
 		}
@@ -548,17 +553,14 @@ func (s *Session) Trusted(attr string) bool {
 	return ok && acc >= s.cfg.MinAccuracy
 }
 
-type predKey struct {
-	cell  repair.CellKey
-	value string
-}
-
-// predVal is a memoized prediction. sim, the update's relationship
-// feature, depends only on the cell's value and the suggested one, so it
-// stays valid while tupleVer matches even after the model retrains. The
-// fields are ordered largest first, which keeps the entry at 56 bytes.
+// predVal is a memoized prediction of the suggestion value for one cell.
+// sim, the update's relationship feature, depends only on the cell's value
+// and the suggested one, so it stays valid while tupleVer matches even after
+// the model retrains. The fields are ordered largest first, which keeps the
+// entry at 72 bytes.
 type predVal struct {
 	votes    learn.Votes
+	value    string
 	modelGen int64
 	sim      float64
 	label    learn.Label
@@ -566,18 +568,45 @@ type predVal struct {
 	ok       bool
 }
 
-// maxPredCache bounds the prediction cache; it is reset when full.
-const maxPredCache = 1 << 18
+// memoKey is the memo key of a cell: its position in the instance,
+// tid·arity + attribute index.
+func (s *Session) memoKey(c repair.CellKey) int {
+	return c.Tid*s.db.Schema.Arity() + s.db.Schema.MustIndex(c.Attr)
+}
+
+// forget retires the memo entry of a cell whose suggestion left the group
+// index. Go maps never shrink, so once the memo falls below a quarter of its
+// peak it is copied into a map sized for what is left.
+func (s *Session) forget(c repair.CellKey) {
+	k := s.memoKey(c)
+	if _, ok := s.memo[k]; !ok {
+		return
+	}
+	delete(s.memo, k)
+	if len(s.memo) >= s.memoPeak/4 {
+		return
+	}
+	m := make(map[int]predVal, len(s.memo))
+	for k, v := range s.memo {
+		m[k] = v
+	}
+	s.memo, s.memoPeak = m, len(m)
+}
 
 // Predict consults the attribute's model for an update. ok is false while
 // the model lacks training data. Results are memoized until the attribute's
-// model retrains or the tuple changes.
+// model retrains, the tuple changes or the cell's suggestion retires.
+//
+// The memo is a pure cache. The generation is the model's example count, so
+// a hit means no example arrived since the entry was stored, right after a
+// Predict that left the committee trained: recomputing would neither retrain
+// nor vote differently.
 func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 	m := s.model(u.Attr)
-	key := predKey{cell: u.Cell(), value: u.Value}
+	key := s.memoKey(u.Cell())
 	ver := s.tupleVer[u.Tid]
-	v, hit := s.predCache[key]
-	hit = hit && v.tupleVer == ver
+	v, hit := s.memo[key]
+	hit = hit && v.value == u.Value && v.tupleVer == ver
 	if hit && v.modelGen == m.Gen() {
 		return v.label, v.votes, v.ok
 	}
@@ -605,10 +634,8 @@ func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 	} else {
 		label, votes, ok = m.Predict(cats, sim)
 	}
-	if len(s.predCache) >= maxPredCache {
-		s.predCache = make(map[predKey]predVal)
-	}
-	s.predCache[key] = predVal{label: label, votes: votes, ok: ok, modelGen: m.Gen(), tupleVer: ver, sim: sim}
+	s.memo[key] = predVal{label: label, votes: votes, value: u.Value, ok: ok, modelGen: m.Gen(), tupleVer: ver, sim: sim}
+	s.memoPeak = max(s.memoPeak, len(s.memo))
 	return label, votes, ok
 }
 

@@ -110,3 +110,37 @@ func TestLearnerHeapNotAboveOracle(t *testing.T) {
 		t.Fatalf("coded models hold %d B live, more than the string-era trainer's %d B", coded, oracle)
 	}
 }
+
+// TestTreesHoldOnlySplitNodes pins the tree layout: a leaf child is its
+// label, held in the parent's child table, so the only leaf node a trained
+// tree may hold is a root that could not split. It trains random streams
+// under configurations that end branches every way a tree can: pure
+// samples, MaxDepth, too few samples for MinLeaf, and no gainful split.
+func TestTreesHoldOnlySplitNodes(t *testing.T) {
+	cfgs := []Config{{}, {MaxDepth: 3}, {MinLeaf: 8}, {Unbalanced: true, Mtry: 1}}
+	rootLeaves, splits := 0, 0
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		stream := feedbackStream(1+rng.Intn(250), rng)
+		for ci, cfg := range cfgs {
+			cfg.Seed, cfg.Workers = seed, 1
+			f := Train(stream, cfg)
+			for k, tr := range f.trees {
+				if len(tr.nodes) == 1 && tr.nodes[0].feat == leafNode {
+					rootLeaves++
+					continue
+				}
+				for i, n := range tr.nodes {
+					if n.feat == leafNode {
+						t.Fatalf("stream %d config %d tree %d: node %d of %d is a leaf", seed, ci, k, i, len(tr.nodes))
+					}
+					splits++
+				}
+			}
+		}
+	}
+	t.Logf("%d split nodes, %d single-leaf trees", splits, rootLeaves)
+	if rootLeaves == 0 || splits == 0 {
+		t.Fatal("the streams grew no single-leaf tree or no split")
+	}
+}

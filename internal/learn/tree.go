@@ -18,7 +18,8 @@
 // once, when it enters a Model (or a Train call), into per-feature integer
 // codes ranked in string order, and is stored only in that form. Trees grow
 // by counting-partitioning index ranges into per-depth buffers borrowed from
-// a pool, and are stored as flat node arrays with integer child tables.
+// a pool, and are stored as flat arrays of their split nodes with integer
+// child tables that hold a leaf child's label in place of a node.
 // Because codes are ranked by string, the trainer visits a categorical
 // split's children in the same sorted-string order as a string-keyed trainer
 // would, so every RNG draw lands where it would there and the committee is
@@ -79,9 +80,11 @@ type Example struct {
 }
 
 // node is one decision-tree node, 32 bytes, stored in its tree's flat node
-// array. A leaf predicts its majority label; internal nodes split on either a
-// categorical feature (one child per code) or the numeric similarity feature
-// (threshold). Children are node indices held in the tree's child table.
+// array. Only splits are nodes: internal nodes split on either a categorical
+// feature (one child per code) or the numeric similarity feature
+// (threshold), and a leaf child is its label, held in the parent's child
+// table slot (see leafKid). A tree is a single leaf node only when its root
+// cannot split.
 type node struct {
 	// thresh is the numeric split point: Sim <= thresh descends to
 	// kids[lo], anything else (NaN included) to kids[lo+1].
@@ -103,6 +106,16 @@ const (
 	simNode  int32 = -2
 )
 
+// A child table slot holds one of three things: a node index (>= 0),
+// noChild (no training example reached the parent with that code), or a
+// leaf's label l as leafKid(l) (<= -2).
+const noChild int32 = -1
+
+func leafKid(l Label) int32 { return -2 - int32(l) }
+
+// kidLabel decodes a leaf slot (k <= -2) back to its label.
+func kidLabel(k int32) Label { return Label(-2 - k) }
+
 // tree is one committee member: nodes[0] is the root.
 type tree struct {
 	nodes []node
@@ -115,6 +128,7 @@ type tree struct {
 func (t *tree) classify(codes *codeMemo, sim float64) Label {
 	n := &t.nodes[0]
 	for {
+		var child int32
 		switch n.feat {
 		case leafNode:
 			return Label(n.major)
@@ -123,18 +137,21 @@ func (t *tree) classify(codes *codeMemo, sim float64) Label {
 			if !(sim <= n.thresh) {
 				k++
 			}
-			n = &t.nodes[t.kids[k]]
+			child = t.kids[k]
 		default:
 			s := codes.get(int(n.feat)) - n.base
 			if uint32(s) >= uint32(n.span) {
 				return Label(n.major)
 			}
-			child := t.kids[n.lo+s]
-			if child < 0 {
+			child = t.kids[n.lo+s]
+			if child == noChild {
 				return Label(n.major)
 			}
-			n = &t.nodes[child]
 		}
+		if child < 0 {
+			return kidLabel(child)
+		}
+		n = &t.nodes[child]
 	}
 }
 
@@ -369,12 +386,15 @@ func (g *grower) growTree(in *forestInput, seed int64) tree {
 	}
 	clear(g.tot[:in.nRanks])
 
-	g.build(0, 0, n)
+	if k := g.build(0, 0, n); k < 0 {
+		g.nodes = append(g.nodes, node{feat: leafNode, major: int32(kidLabel(k))})
+	}
 	return tree{nodes: slices.Clone(g.nodes), kids: slices.Clone(g.kids)}
 }
 
-// build grows the subtree over bufs[depth][lo:hi] and returns its root's
-// node index. The order of its RNG draws is what makes committees match a
+// build grows the subtree over bufs[depth][lo:hi] and returns its child
+// table entry: the index of its root node, or leafKid of its label when it
+// is a leaf. The order of its RNG draws is what makes committees match a
 // trainer on the strings, so it must not change: a feature permutation at
 // every internal node, then the children depth-first — categorical ones in
 // code (= sorted string) order, numeric ones left before right.
@@ -385,8 +405,7 @@ func (g *grower) build(depth, lo, hi int) int32 {
 	for _, i := range idx {
 		counts[labels[i]]++
 	}
-	ni := int32(len(g.nodes))
-	g.nodes = append(g.nodes, node{feat: leafNode, major: int32(majorityOf(counts))})
+	major := majorityOf(counts)
 	total := hi - lo
 	pure := false
 	for _, k := range counts {
@@ -395,7 +414,7 @@ func (g *grower) build(depth, lo, hi int) int32 {
 		}
 	}
 	if pure || depth >= g.in.cfg.maxDepth || total < 2*g.in.cfg.minLeaf {
-		return ni
+		return leafKid(major)
 	}
 
 	parentH := entropy(counts, total)
@@ -410,15 +429,22 @@ func (g *grower) build(depth, lo, hi int) int32 {
 			if gain, ok := g.catGain(idx, f, parentH); ok && gain > bestGain+minGain {
 				bestGain, bestFeat = gain, f
 			}
-			continue
-		}
-		if gain, th, ok := g.simGain(idx, counts, parentH, bestGain); ok {
+		} else if gain, th, ok := g.simGain(idx, counts, parentH, bestGain); ok {
 			bestGain, bestFeat, bestThresh = gain, f, th
+		}
+		// No gain exceeds parentH (child entropies are never negative), so
+		// once the best split reaches it no later candidate can win, and
+		// evaluating candidates draws nothing from the RNG: stopping here
+		// leaves the split and every later draw unchanged.
+		if parentH <= bestGain+minGain {
+			break
 		}
 	}
 	if bestFeat < 0 || bestGain <= minGain {
-		return ni
+		return leafKid(major)
 	}
+	ni := int32(len(g.nodes))
+	g.nodes = append(g.nodes, node{major: int32(major)})
 	if bestFeat < nCats {
 		g.splitCat(ni, depth, lo, hi, bestFeat)
 	} else {
@@ -543,7 +569,7 @@ func (g *grower) splitCat(ni int32, depth, lo, hi, f int) {
 	span := last - base + 1
 	kbase := int32(len(g.kids))
 	for s := int32(0); s < span; s++ {
-		g.kids = append(g.kids, -1)
+		g.kids = append(g.kids, noChild)
 	}
 	// Until the children exist, a present code's child slot holds the end
 	// of its partition (always >= 1), and tot[c] its write cursor. Walking
@@ -568,7 +594,7 @@ func (g *grower) splitCat(ni int32, depth, lo, hi, f int) {
 	start := lo
 	for s := kbase; s < kbase+span; s++ {
 		end := g.kids[s]
-		if end < 0 {
+		if end == noChild {
 			continue
 		}
 		child := g.build(depth+1, start, int(end))
@@ -598,7 +624,7 @@ func (g *grower) splitSim(ni int32, depth, lo, hi int, th float64) {
 		}
 	}
 	kbase := int32(len(g.kids))
-	g.kids = append(g.kids, -1, -1)
+	g.kids = append(g.kids, noChild, noChild)
 	g.nodes[ni].feat, g.nodes[ni].thresh, g.nodes[ni].lo = simNode, th, kbase
 	left := g.build(depth+1, lo, mid)
 	g.kids[kbase] = left

@@ -27,11 +27,11 @@ func RestoreDict(vals []string) (*Dict, error) {
 
 // RestoreDB rebuilds an instance from snapshotted parts: per-attribute
 // dictionaries (id-for-id, so every stored VID keeps its meaning), the
-// dictionary-encoded rows, and the tuple weights (nil means all 1). The
-// per-attribute value counts and domain caches are derived, not stored —
-// they are recomputed here. Every row VID is validated against its
-// dictionary so a corrupt snapshot surfaces as an error, never as an
-// out-of-range panic later.
+// dictionary-encoded rows (copied into the instance's flat storage), and
+// the tuple weights (nil means all 1). The per-attribute value counts and
+// domain caches are derived, not stored — they are recomputed here. Every
+// row VID is validated against its dictionary so a corrupt snapshot
+// surfaces as an error, never as an out-of-range panic later.
 func RestoreDB(s *Schema, dicts []*Dict, rows [][]VID, weights []float64) (*DB, error) {
 	n := s.Arity()
 	if len(dicts) != n {
@@ -42,7 +42,8 @@ func RestoreDB(s *Schema, dicts []*Dict, rows [][]VID, weights []float64) (*DB, 
 	}
 	db := &DB{
 		Schema:     s,
-		rows:       make([][]VID, len(rows)),
+		cells:      make([]VID, 0, len(rows)*n),
+		arity:      n,
 		weights:    make([]float64, len(rows)),
 		dicts:      make([]*Dict, n),
 		counts:     make([][]int, n),
@@ -60,15 +61,14 @@ func RestoreDB(s *Schema, dicts []*Dict, rows [][]VID, weights []float64) (*DB, 
 		if len(row) != n {
 			return nil, fmt.Errorf("relation: row %d arity %d, want %d", tid, len(row), n)
 		}
-		r := append([]VID(nil), row...)
-		for ai, v := range r {
+		for ai, v := range row {
 			if int(v) >= db.dicts[ai].Len() {
 				return nil, fmt.Errorf("relation: row %d attribute %q: VID %d outside dictionary (len %d)",
 					tid, s.Attrs[ai], v, db.dicts[ai].Len())
 			}
 			db.counts[ai][v]++
 		}
-		db.rows[tid] = r
+		db.cells = append(db.cells, row...)
 		if weights != nil {
 			db.weights[tid] = weights[tid]
 		} else {

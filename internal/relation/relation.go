@@ -4,11 +4,12 @@
 // tuple's violations by a business-importance weight).
 //
 // Storage is dictionary-encoded: each attribute owns a Dict interning its
-// distinct values, and tuples are stored as rows of fixed-width value ids
-// (VID). The violation engine, update generator and VOI ranker operate on
-// VIDs directly — string hashing and comparison in their hot paths become
-// word operations — while the string-facing API (Get/Set/Tuple/Domain) stays
-// unchanged for loaders, CLIs and examples.
+// distinct values, each held once in a string of its own, and the tuples are
+// stored as one flat array of fixed-width value ids (VID), row after row. The
+// violation engine, update generator and VOI ranker operate on VIDs directly
+// — string hashing and comparison in their hot paths become word operations
+// — while the string-facing API (Get/Set/Tuple/Domain) stays unchanged for
+// loaders, CLIs and examples.
 //
 // The paper stored records in MySQL and kept all repair state application
 // side; here the whole instance lives in memory so the violation engine in
@@ -18,6 +19,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Schema describes a relation: its name and ordered attribute list.
@@ -107,11 +109,16 @@ func NewDict() *Dict {
 	return &Dict{ids: make(map[string]VID)}
 }
 
-// ID interns v, assigning the next dense id on first appearance.
+// ID interns v, assigning the next dense id on first appearance. The first
+// appearance stores a copy of v, so the dictionary never pins the memory v
+// was cut from: encoding/csv returns a record's fields as substrings of one
+// string per line, and keeping such a substring would keep its whole line
+// alive for the life of the instance.
 func (d *Dict) ID(v string) VID {
 	if id, ok := d.ids[v]; ok {
 		return id
 	}
+	v = strings.Clone(v)
 	id := VID(len(d.vals))
 	d.vals = append(d.vals, v)
 	d.ids[v] = id
@@ -140,15 +147,19 @@ func (d *Dict) clone() *Dict {
 
 // DB is a mutable database instance of a single relation. Tuples are
 // addressed by dense integer ids (their insertion order) and stored as
-// dictionary-encoded VID rows. Per-attribute value counts are maintained
-// incrementally on every Insert/Set, so domain statistics never require a
-// full rescan.
+// dictionary-encoded VID rows, all in one flat array. Per-attribute value
+// counts are maintained incrementally on every Insert/Set, so domain
+// statistics never require a full rescan.
 //
 // DB is not safe for concurrent mutation; GDR sessions own their instance.
 type DB struct {
 	Schema *Schema
 
-	rows    [][]VID
+	// cells holds every tuple's VIDs row-major: tuple tid owns
+	// cells[tid*arity : (tid+1)*arity]. weights has one entry per tuple,
+	// so its length is the tuple count.
+	cells   []VID
+	arity   int
 	weights []float64
 
 	dicts  []*Dict
@@ -163,6 +174,7 @@ func NewDB(s *Schema) *DB {
 	n := s.Arity()
 	db := &DB{
 		Schema:     s,
+		arity:      n,
 		dicts:      make([]*Dict, n),
 		counts:     make([][]int, n),
 		domainList: make([][]string, n),
@@ -180,14 +192,13 @@ func (db *DB) Insert(t Tuple) (int, error) {
 	if len(t) != db.Schema.Arity() {
 		return 0, fmt.Errorf("relation: tuple arity %d does not match schema %q arity %d", len(t), db.Schema.Relation, db.Schema.Arity())
 	}
-	row := make([]VID, len(t))
 	for ai, v := range t {
-		row[ai] = db.Intern(ai, v)
-		db.bumpCount(ai, row[ai], 1)
+		id := db.Intern(ai, v)
+		db.cells = append(db.cells, id)
+		db.bumpCount(ai, id, 1)
 	}
-	db.rows = append(db.rows, row)
 	db.weights = append(db.weights, 1)
-	return len(db.rows) - 1, nil
+	return len(db.weights) - 1, nil
 }
 
 // MustInsert is Insert for known-good tuples; it panics on arity mismatch.
@@ -200,16 +211,22 @@ func (db *DB) MustInsert(t Tuple) int {
 }
 
 // N returns the number of tuples.
-func (db *DB) N() int { return len(db.rows) }
+func (db *DB) N() int { return len(db.weights) }
 
-// Row returns tuple tid's dictionary-encoded row. The returned slice is the
-// live storage; callers must not mutate it directly (use Set/SetVIDAt).
-func (db *DB) Row(tid int) []VID { return db.rows[tid] }
+// Row returns tuple tid's dictionary-encoded row: a capped window onto the
+// instance's flat storage, so it reflects later Set calls on the tuple.
+// Callers must not mutate it directly (use Set/SetVIDAt), and must not keep
+// it past the next Insert, which may move the storage; every holder in the
+// library uses it within one call.
+func (db *DB) Row(tid int) []VID {
+	i := tid * db.arity
+	return db.cells[i : i+db.arity : i+db.arity]
+}
 
 // Tuple materializes tuple tid as strings. The returned slice is a fresh
 // copy owned by the caller.
 func (db *DB) Tuple(tid int) Tuple {
-	row := db.rows[tid]
+	row := db.Row(tid)
 	out := make(Tuple, len(row))
 	for ai, v := range row {
 		out[ai] = db.dicts[ai].vals[v]
@@ -219,15 +236,14 @@ func (db *DB) Tuple(tid int) Tuple {
 
 // Get returns the value of attr in tuple tid.
 func (db *DB) Get(tid int, attr string) string {
-	ai := db.Schema.MustIndex(attr)
-	return db.dicts[ai].vals[db.rows[tid][ai]]
+	return db.GetAt(tid, db.Schema.MustIndex(attr))
 }
 
 // GetAt returns the value at attribute position ai in tuple tid.
-func (db *DB) GetAt(tid, ai int) string { return db.dicts[ai].vals[db.rows[tid][ai]] }
+func (db *DB) GetAt(tid, ai int) string { return db.dicts[ai].vals[db.Row(tid)[ai]] }
 
 // VIDAt returns the interned id at attribute position ai in tuple tid.
-func (db *DB) VIDAt(tid, ai int) VID { return db.rows[tid][ai] }
+func (db *DB) VIDAt(tid, ai int) VID { return db.Row(tid)[ai] }
 
 // Dict returns the dictionary of attribute position ai. Callers may intern
 // into it (via DB.Intern) but must not assume ids beyond Len() exist.
@@ -298,11 +314,12 @@ func (db *DB) SetVIDAt(tid, ai int, v VID) {
 		panic(fmt.Sprintf("relation: VID %d not in dictionary of %q (len %d); intern values before storing them",
 			v, db.Schema.Attrs[ai], db.dicts[ai].Len()))
 	}
-	old := db.rows[tid][ai]
+	row := db.Row(tid)
+	old := row[ai]
 	if old == v {
 		return
 	}
-	db.rows[tid][ai] = v
+	row[ai] = v
 	db.bumpCount(ai, old, -1)
 	db.bumpCount(ai, v, 1)
 }
@@ -318,10 +335,7 @@ func (db *DB) SetWeight(tid int, w float64) { db.weights[tid] = w }
 // encoded state derived from one instance can be compared against its clone.
 func (db *DB) Clone() *DB {
 	out := NewDB(db.Schema)
-	out.rows = make([][]VID, len(db.rows))
-	for i, r := range db.rows {
-		out.rows[i] = append([]VID(nil), r...)
-	}
+	out.cells = append([]VID(nil), db.cells...)
 	out.weights = append([]float64(nil), db.weights...)
 	for ai := range db.dicts {
 		out.dicts[ai] = db.dicts[ai].clone()
@@ -380,9 +394,9 @@ func (db *DB) DiffCells(other *DB) ([][2]int, error) {
 			db.N(), db.Schema.Arity(), other.N(), other.Schema.Arity())
 	}
 	var out [][2]int
-	for tid := range db.rows {
-		for ai := range db.rows[tid] {
-			if db.dicts[ai].vals[db.rows[tid][ai]] != other.dicts[ai].vals[other.rows[tid][ai]] {
+	for tid := 0; tid < db.N(); tid++ {
+		for ai := 0; ai < db.arity; ai++ {
+			if db.GetAt(tid, ai) != other.GetAt(tid, ai) {
 				out = append(out, [2]int{tid, ai})
 			}
 		}

@@ -52,7 +52,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"gdr/internal/core"
@@ -244,10 +246,11 @@ func New(cfg Config) *Server {
 	if tracer != nil {
 		// Every finished trace feeds the per-stage latency histograms; the
 		// label space is bounded (fixed stage names × the routeLabel set).
+		hists := newStageHists(reg)
 		tracer.OnFinish = func(t *obs.Trace) {
 			route := t.Route()
 			for _, sp := range t.Spans() {
-				reg.LabeledHistogram("gdrd_stage_seconds", "stage", sp.Stage, "route", route).Observe(sp.Dur.Seconds())
+				hists.get(sp.Stage, route).Observe(sp.Dur.Seconds())
 			}
 		}
 	}
@@ -412,6 +415,44 @@ func routeLabel(method, path string) string {
 		return "delete"
 	}
 	return "other"
+}
+
+// traceStages are the span stages gdrd records, and traceRoutes the route
+// labels a traced request can carry (routeLabel minus the exempt paths).
+var (
+	traceStages = []string{"admit", "queue", "slot", "exec", "persist", "write", "fsync", "rename",
+		core.PhaseSuggest, core.PhaseRerank, core.PhaseRetrain}
+	traceRoutes = []string{"create", "list", "groups", "updates", "feedback", "status", "export",
+		"snapshot", "delete", "replicas", "other"}
+)
+
+// stageHists holds the gdrd_stage_seconds handle of each traceStages ×
+// traceRoutes pair, resolved from the registry once, on the pair's first
+// span: registering on first use keeps /metrics listing only the pairs that
+// occurred, and later spans neither build a series key nor take the
+// registry's lock. Any other pair goes to the registry every time.
+type stageHists struct {
+	reg   *metrics.Registry
+	known []atomic.Pointer[metrics.Histogram] // [stage*len(traceRoutes)+route]
+}
+
+func newStageHists(reg *metrics.Registry) *stageHists {
+	return &stageHists{reg: reg, known: make([]atomic.Pointer[metrics.Histogram], len(traceStages)*len(traceRoutes))}
+}
+
+// get returns the histogram of one stage on one route.
+func (s *stageHists) get(stage, route string) *metrics.Histogram {
+	si, ri := slices.Index(traceStages, stage), slices.Index(traceRoutes, route)
+	if si < 0 || ri < 0 {
+		return s.reg.LabeledHistogram("gdrd_stage_seconds", "stage", stage, "route", route)
+	}
+	slot := &s.known[si*len(traceRoutes)+ri]
+	h := slot.Load()
+	if h == nil {
+		h = s.reg.LabeledHistogram("gdrd_stage_seconds", "stage", stage, "route", route)
+		slot.Store(h)
+	}
+	return h
 }
 
 // instrument wraps the stack with body limiting, request tracing, logging

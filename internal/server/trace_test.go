@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"gdr/internal/core"
+	"gdr/internal/metrics"
 	"gdr/internal/obs"
+	"gdr/internal/par"
 )
 
 // feedbackFirstGroup drives one full feedback round (groups → updates →
@@ -195,6 +198,31 @@ func TestRouteLabel(t *testing.T) {
 	for _, c := range cases {
 		if got := routeLabel(c.method, c.path); got != c.want {
 			t.Errorf("routeLabel(%s %s) = %q, want %q", c.method, c.path, got, c.want)
+		}
+	}
+}
+
+// TestStageHistogramsResolveOnce pins the per-span cost of the stage
+// histograms: once a known stage × route pair has been seen, observing it
+// neither builds a series key nor allocates. The handles are the
+// registry's own series, and an unknown pair still reaches the registry.
+func TestStageHistogramsResolveOnce(t *testing.T) {
+	if par.RaceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	reg := metrics.NewRegistry()
+	hs := newStageHists(reg)
+	hs.get(core.PhaseRerank, "groups").Observe(0.001)
+	allocs := testing.AllocsPerRun(500, func() {
+		hs.get(core.PhaseRerank, "groups").Observe(0.002)
+	})
+	if allocs != 0 {
+		t.Fatalf("observing a known stage × route pair allocates %.1f times, want 0", allocs)
+	}
+	for _, c := range []struct{ stage, route string }{{core.PhaseRerank, "groups"}, {"exec", "feedback"}, {"custom", "groups"}} {
+		want := reg.LabeledHistogram("gdrd_stage_seconds", "route", c.route, "stage", c.stage)
+		if got := hs.get(c.stage, c.route); got != want {
+			t.Errorf("stage %q route %q: handle differs from the registry's series", c.stage, c.route)
 		}
 	}
 }

@@ -265,9 +265,12 @@ func DecodeStateMeta(data []byte) (name string, meta Meta, st *core.SessionState
 	if arity == 0 && nRows > 0 {
 		d.fail("rows with empty schema")
 	}
+	// Every row is carved from one backing array; the count check above
+	// bounds it by the input's size.
+	cells := make([]relation.VID, nRows*arity)
 	st.Rows = make([][]relation.VID, 0, nRows)
 	for i := 0; i < nRows && d.err == nil; i++ {
-		row := make([]relation.VID, arity)
+		row := cells[i*arity : (i+1)*arity : (i+1)*arity]
 		for ai := range row {
 			row[ai] = relation.VID(d.u32())
 		}
