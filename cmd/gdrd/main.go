@@ -29,14 +29,14 @@
 // scheduled fairly across tenants either way, -deadline bounds each request
 // end to end, and -queue-depth bounds each session's command backlog.
 //
-// Observability: every request is traced end to end (W3C traceparent
-// accepted and echoed; the response carries a Server-Timing stage
-// breakdown), logs are structured (-log-format text|json, -log-level,
+// Observability: every request is traced end to end, always (W3C
+// traceparent accepted and echoed; the response carries a Server-Timing
+// stage breakdown, and every span feeds the gdrd_stage_seconds histograms
+// on /metrics), logs are structured (-log-format text|json, -log-level,
 // every request line tagged with its trace_id), and completed traces are
 // browsable at GET /debug/traces — served loopback-only on the main
-// listener, and also mounted on the -pprof debug port. -trace sizes the
-// retained ring (-1 disables tracing), -slow-request escalates slow
-// requests to warn-level log lines.
+// listener, and also mounted on the -pprof debug port. -slow-request
+// escalates slow requests to warn-level log lines.
 //
 // With -pprof PORT, net/http/pprof (plus /debug/traces) is served on
 // 127.0.0.1:PORT — loopback only, segregated from the service listener — so
@@ -89,7 +89,6 @@ type options struct {
 	chaosSeed   int64
 	logFormat   string
 	logLevel    string
-	traceCap    int
 	slowReq     time.Duration
 	cluster     bool
 }
@@ -112,7 +111,6 @@ func main() {
 	flag.Int64Var(&opts.chaosSeed, "chaos-seed", 1, "seed for -chaos fault rolls (reproducible runs)")
 	flag.StringVar(&opts.logFormat, "log-format", "text", "log output format: text|json")
 	flag.StringVar(&opts.logLevel, "log-level", "info", "minimum log level: debug|info|warn|error")
-	flag.IntVar(&opts.traceCap, "trace", 256, "completed-trace ring size served at /debug/traces (-1 = disable tracing)")
 	flag.DurationVar(&opts.slowReq, "slow-request", time.Second, "log requests at least this slow at warn level (0 = disabled)")
 	flag.BoolVar(&opts.cluster, "cluster", false, "cluster-node mode: honor the gdrproxy placement headers (bind -addr to an internal interface)")
 	flag.Parse()
@@ -179,7 +177,6 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 		RequestTimeout:  opts.deadline,
 		QueueDepth:      opts.queueDepth,
 		Faults:          faults,
-		Trace:           obs.Config{Capacity: opts.traceCap},
 		SlowRequest:     opts.slowReq,
 		ClusterMode:     opts.cluster,
 	})
@@ -216,7 +213,7 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 	logger.Info(fmt.Sprintf("gdrd: serving on %s", ln.Addr()),
 		"max_sessions", opts.maxSessions, "ttl", opts.ttl, "workers", opts.workers,
 		"data_dir", opts.dataDir, "tenants", len(tenants), "deadline", opts.deadline,
-		"sessions", srv.Store().Len(), "trace", opts.traceCap, "log_format", opts.logFormat)
+		"sessions", srv.Store().Len(), "log_format", opts.logFormat)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

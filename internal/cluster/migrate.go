@@ -227,10 +227,11 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 			p.log.Warn("migration failed; session stays on source",
 				"token", m.token, "from", m.from, "to", m.to, "err", err)
 		} else {
+			took := time.Since(start)
 			p.reg.Counter("gdrproxy_migrations_total").Inc()
-			p.reg.Histogram("gdrproxy_migration_seconds").ObserveSince(start)
+			p.reg.Histogram("gdrproxy_migration_seconds").Observe(took.Seconds())
 			p.log.Info("migrated session", "token", m.token, "from", m.from, "to", m.to,
-				"took", time.Since(start))
+				"took", took)
 		}
 	}()
 

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric (e.g. feedbacks served).
@@ -102,11 +101,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.total++
 	h.mu.Unlock()
-}
-
-// ObserveSince records the elapsed time since start, in seconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.

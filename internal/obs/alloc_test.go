@@ -7,29 +7,6 @@ import (
 	"gdr/internal/par"
 )
 
-// TestDisabledTracingZeroAlloc pins the disabled-tracing path to zero
-// allocations: the serving tier instruments unconditionally, so a daemon
-// running with -trace=-1 (nil tracer, nil traces everywhere) must pay
-// nothing for the instrumentation it isn't using. The CI alloc-guard step
-// runs this test.
-func TestDisabledTracingZeroAlloc(t *testing.T) {
-	if par.RaceEnabled {
-		t.Skip("allocation counts are inflated under the race detector")
-	}
-	var tr *Tracer
-	allocs := testing.AllocsPerRun(200, func() {
-		tct := tr.Start("", "feedback")
-		tct.SetTenant("acme")
-		h := tct.StartChild("exec", "suggest")
-		h.End()
-		tct.RecordSince("queue", "", time.Time{})
-		tct.Finish(200)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled tracer cost %v allocs per request, want 0", allocs)
-	}
-}
-
 // TestSpanRecordingSteadyStateAllocs pins the per-span cost on a live trace:
 // below the preallocated span capacity, opening and ending a span must not
 // allocate — SpanHandle is a value and the spans slice is sized for a full

@@ -29,7 +29,9 @@ type SpanJSON struct {
 	Children []SpanJSON `json:"children,omitempty"`
 }
 
-// TracesBody is the /debug/traces response document.
+// TracesBody is the /debug/traces response document. Enabled is always
+// true: tracing cannot be turned off, and the field keeps the document's
+// shape for the scripts that read it.
 type TracesBody struct {
 	Enabled bool        `json:"enabled"`
 	Total   uint64      `json:"finished_total"`
@@ -39,16 +41,11 @@ type TracesBody struct {
 
 // Handler serves the retained traces as JSON: the recent ring (newest
 // first) and the slowest list, each optionally filtered by ?min_dur= (a Go
-// duration, e.g. 100ms). A nil tracer serves an "enabled": false document.
-// The handler performs no access control — the serving tier mounts it
-// behind a loopback guard.
+// duration, e.g. 100ms). The handler performs no access control — the
+// serving tier mounts it behind a loopback guard.
 func (tr *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if tr == nil {
-			_ = json.NewEncoder(w).Encode(TracesBody{})
-			return
-		}
 		var minDur time.Duration
 		if v := r.URL.Query().Get("min_dur"); v != "" {
 			d, err := time.ParseDuration(v)

@@ -7,14 +7,16 @@
 // queue, the CPU-slot scheduler, command execution, the engine phases and
 // the checkpoint pipeline. Each tier records flat Spans (stage name, parent
 // stage name, offset, duration); the span tree is only materialized when a
-// human asks for it at /debug/traces. Completed traces land in a fixed-size
-// ring plus a separate slowest-N list, so the interesting outliers survive
-// even under high request rates.
+// human asks for it at /debug/traces. Every span a request records reaches
+// the tracer's OnFinish hook, which is how the serving tier's latency
+// histograms see each stage. A finished trace is then trimmed to a bounded
+// copy and lands in a fixed-size ring plus a separate slowest-N list, so the
+// interesting outliers survive even under high request rates.
 //
-// The package is deliberately dependency-free and nil-tolerant: a nil
-// *Tracer (tracing disabled) and a nil *Trace (untraced request, background
-// work) are valid receivers everywhere and cost zero allocations, which is
-// what lets the serving tier instrument unconditionally.
+// Tracing is always on. The package is deliberately dependency-free, and a
+// nil *Trace (background work, library callers) is a valid no-op receiver
+// everywhere, which is what lets the serving tier instrument
+// unconditionally.
 package obs
 
 import (
@@ -29,9 +31,8 @@ import (
 
 // Config tunes a Tracer.
 type Config struct {
-	// Capacity is the completed-trace ring size (default 256). A negative
-	// value disables tracing entirely: NewTracer returns nil, and the nil
-	// Tracer is a valid zero-cost no-op.
+	// Capacity is the completed-trace ring size (<= 0 selects the default,
+	// 256).
 	Capacity int
 	// Slowest is how many slowest traces are retained independently of the
 	// ring (default 32), so outliers survive a burst of fast requests.
@@ -47,10 +48,10 @@ const (
 	defaultSlowest  = 32
 )
 
-// Span bounds: enough for a feedback round with a checkpoint (admit, queue,
-// slot, exec, a handful of engine phases, persist and its four children);
-// pathological cascades overflow into the dropped counter instead of
-// growing without bound.
+// Span bounds: spanPrealloc covers a typical request without regrowing the
+// slice; maxSpans bounds what a finished trace retains, enough for a
+// feedback round with a checkpoint (admit, queue, slot, exec, a handful of
+// engine phases, persist and its four children). Finish trims the rest.
 const (
 	spanPrealloc = 16
 	maxSpans     = 64
@@ -63,7 +64,8 @@ type Tracer struct {
 
 	// OnFinish, when set before serving starts, observes every finished
 	// trace (the server exports per-stage histograms from it). It runs on
-	// the goroutine that calls Finish.
+	// the goroutine that calls Finish, after the trace is sealed and before
+	// it is trimmed, so Spans returns every span the request recorded.
 	OnFinish func(*Trace)
 
 	mu    sync.Mutex
@@ -81,13 +83,9 @@ type slowEntry struct {
 	dur time.Duration
 }
 
-// NewTracer builds a tracer, or returns nil (tracing disabled) when
-// cfg.Capacity is negative.
+// NewTracer builds a tracer.
 func NewTracer(cfg Config) *Tracer {
-	if cfg.Capacity < 0 {
-		return nil
-	}
-	if cfg.Capacity == 0 {
+	if cfg.Capacity <= 0 {
 		cfg.Capacity = defaultCapacity
 	}
 	if cfg.Slowest <= 0 {
@@ -107,12 +105,8 @@ func NewTracer(cfg Config) *Tracer {
 
 // Start begins a trace for one request. traceparent is the raw incoming
 // header value ("" or malformed mints a fresh trace ID); route is the
-// bounded route label the trace is attributed to. A nil tracer returns a
-// nil trace, which every method accepts as a no-op.
+// bounded route label the trace is attributed to.
 func (tr *Tracer) Start(traceparent, route string) *Trace {
-	if tr == nil {
-		return nil
-	}
 	t := &Trace{
 		tracer: tr,
 		route:  route,
@@ -131,8 +125,13 @@ func (tr *Tracer) Start(traceparent, route string) *Trace {
 	return t
 }
 
-// finish files a completed trace into the ring and the slowest list.
+// finish hands a sealed trace to OnFinish with every span it recorded,
+// trims it, then files it into the ring and the slowest list.
 func (tr *Tracer) finish(t *Trace, dur time.Duration) {
+	if tr.OnFinish != nil {
+		tr.OnFinish(t)
+	}
+	t.trim()
 	tr.mu.Lock()
 	tr.ring[tr.next] = t
 	tr.next = (tr.next + 1) % len(tr.ring)
@@ -152,17 +151,11 @@ func (tr *Tracer) finish(t *Trace, dur time.Duration) {
 		tr.slow[i] = slowEntry{t: t, dur: dur}
 	}
 	tr.mu.Unlock()
-	if tr.OnFinish != nil {
-		tr.OnFinish(t)
-	}
 }
 
 // snapshot copies the retained traces: ring contents newest-first, then the
 // slowest list (descending). Total is the number of traces ever finished.
 func (tr *Tracer) snapshot() (recent, slowest []*Trace, total uint64) {
-	if tr == nil {
-		return nil, nil, 0
-	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	recent = make([]*Trace, 0, len(tr.ring))
@@ -215,7 +208,7 @@ type Trace struct {
 	tenant  string        // gdr:guarded-by mu
 	session string        // gdr:guarded-by mu
 	spans   []Span        // gdr:guarded-by mu
-	dropped int           // gdr:guarded-by mu — spans beyond maxSpans
+	dropped int           // gdr:guarded-by mu — spans trimmed at Finish or recorded after it
 	done    bool          // gdr:guarded-by mu — Finish sealed the trace
 	status  int           // gdr:guarded-by mu — HTTP status, set by Finish
 	dur     time.Duration // gdr:guarded-by mu — total duration, set by Finish
@@ -286,15 +279,16 @@ func (t *Trace) Session() string {
 	return t.session
 }
 
-// RecordSpan appends one completed span. Spans beyond maxSpans are counted
-// as dropped instead of growing the trace without bound.
+// RecordSpan appends one completed span. Until Finish every span is kept,
+// so OnFinish sees them all; a span recorded after Finish is not kept and
+// counts as dropped.
 func (t *Trace) RecordSpan(stage, parent string, start time.Time, dur time.Duration) {
 	if t == nil {
 		return
 	}
 	off := start.Sub(t.start)
 	t.mu.Lock()
-	if len(t.spans) >= maxSpans {
+	if t.done {
 		t.dropped++
 	} else {
 		t.spans = append(t.spans, Span{Stage: stage, Parent: parent, Start: off, Dur: dur})
@@ -341,7 +335,8 @@ func (h SpanHandle) End() {
 	h.t.RecordSpan(h.stage, h.parent, h.start, time.Since(h.start))
 }
 
-// Spans returns a copy of the recorded spans.
+// Spans returns a copy of the recorded spans: every one until Finish has
+// handed the trace to OnFinish, the retained ones after.
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
@@ -351,7 +346,8 @@ func (t *Trace) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// Dropped returns how many spans were discarded past the per-trace cap.
+// Dropped returns how many spans the retained trace lost: those trimmed at
+// Finish past the per-trace cap, plus any recorded after Finish.
 func (t *Trace) Dropped() int {
 	if t == nil {
 		return 0
@@ -428,10 +424,11 @@ func (t *Trace) ServerTiming() string {
 	return string(buf)
 }
 
-// Finish seals the trace with the response status and files it with the
-// tracer. Only the first call has effect; later span recording is dropped
-// by the done flag staying set (finished traces are immutable, which is
-// what makes them safe to serve from /debug/traces).
+// Finish seals the trace with the response status, hands every recorded
+// span to the tracer's OnFinish, trims the trace to at most maxSpans spans
+// and files it with the tracer. Only the first call has effect; later span
+// recording is dropped by the done flag staying set (filed traces are
+// immutable, which is what makes them safe to serve from /debug/traces).
 func (t *Trace) Finish(status int) {
 	if t == nil {
 		return
@@ -447,6 +444,40 @@ func (t *Trace) Finish(status int) {
 	t.dur = d
 	t.mu.Unlock()
 	t.tracer.finish(t, d)
+}
+
+// trim cuts a sealed trace down to maxSpans spans: every root span first
+// (the first maxSpans if there are more), then the earliest children, so
+// the slowest requests keep their root stages and buildTree still nests
+// the children. The kept spans are copied, in recording order, to a fresh
+// slice, so a retained trace never pins a large in-flight array.
+func (t *Trace) trim() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.spans) <= maxSpans {
+		return
+	}
+	roots := 0
+	for _, sp := range t.spans {
+		if sp.Parent == "" {
+			roots++
+		}
+	}
+	roots = min(roots, maxSpans)
+	children := maxSpans - roots
+	kept := make([]Span, 0, maxSpans)
+	for _, sp := range t.spans {
+		switch {
+		case sp.Parent == "" && roots > 0:
+			kept = append(kept, sp)
+			roots--
+		case sp.Parent != "" && children > 0:
+			kept = append(kept, sp)
+			children--
+		}
+	}
+	t.dropped += len(t.spans) - len(kept)
+	t.spans = kept
 }
 
 // Duration returns the sealed total duration (0 before Finish).

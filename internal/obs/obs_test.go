@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -68,16 +69,10 @@ func TestStartAdoptsAndMintsIDs(t *testing.T) {
 	}
 }
 
-func TestNewTracerDisabled(t *testing.T) {
-	tr := NewTracer(Config{Capacity: -1})
-	if tr != nil {
-		t.Fatal("negative capacity should disable tracing")
-	}
-	tct := tr.Start("", "feedback") // nil receiver: valid, returns nil
-	if tct != nil {
-		t.Fatal("nil tracer must hand out nil traces")
-	}
-	// Every trace method must be a no-op on nil.
+func TestNilTraceIsNoOp(t *testing.T) {
+	// Background work and library callers carry no trace: every trace
+	// method must be a no-op on nil.
+	var tct *Trace
 	tct.SetTenant("a")
 	tct.SetSession("b")
 	tct.RecordSpan("x", "", time.Now(), time.Second)
@@ -150,11 +145,155 @@ func TestSpanCapDropsExcess(t *testing.T) {
 	for i := 0; i < maxSpans+5; i++ {
 		tct.RecordSpan("s", "", time.Now(), time.Millisecond)
 	}
+	tct.Finish(200) // the cap applies to what the finished trace retains
 	if n := len(tct.Spans()); n != maxSpans {
 		t.Errorf("retained %d spans, want %d", n, maxSpans)
 	}
 	if d := tct.Dropped(); d != 5 {
 		t.Errorf("dropped = %d, want 5", d)
+	}
+}
+
+// TestOnFinishSeesEverySpan pins recording versus retention: the cap bounds
+// only what a finished trace keeps, so the finish hook (which feeds gdrd's
+// stage histograms) sees every span the request recorded.
+func TestOnFinishSeesEverySpan(t *testing.T) {
+	tr := NewTracer(Config{Seed: 1})
+	var seen int
+	tr.OnFinish = func(tct *Trace) { seen = len(tct.Spans()) }
+	tct := tr.Start("", "feedback")
+	for i := 0; i < maxSpans+5; i++ {
+		tct.RecordSpan("s", "", time.Now(), time.Millisecond)
+	}
+	if n, d := len(tct.Spans()), tct.Dropped(); n != maxSpans+5 || d != 0 {
+		t.Fatalf("before Finish: %d spans, %d dropped; want %d, 0", n, d, maxSpans+5)
+	}
+	tct.Finish(200)
+	if seen != maxSpans+5 {
+		t.Errorf("OnFinish saw %d spans, want all %d", seen, maxSpans+5)
+	}
+	if n, d := len(tct.Spans()), tct.Dropped(); n != maxSpans || d != 5 {
+		t.Errorf("after Finish: %d spans, %d dropped; want %d, 5", n, d, maxSpans)
+	}
+}
+
+// TestSpanAfterFinishNotKept: a finished trace is immutable, so a span
+// that ends after Finish counts as dropped instead of joining it.
+func TestSpanAfterFinishNotKept(t *testing.T) {
+	tr := NewTracer(Config{Seed: 1})
+	tct := tr.Start("", "feedback")
+	tct.RecordSpan("queue", "", time.Now(), time.Millisecond)
+	tct.Finish(200)
+	tct.RecordSpan("late", "", time.Now(), time.Millisecond)
+	if n := len(tct.Spans()); n != 1 {
+		t.Errorf("retained %d spans, want 1", n)
+	}
+	if d := tct.Dropped(); d != 1 {
+		t.Errorf("dropped = %d, want 1", d)
+	}
+}
+
+// TestConcurrentSpansAllAccounted races span recording against Finish:
+// every span is either retained or counted as dropped, and the retained
+// trace stays within the cap.
+func TestConcurrentSpansAllAccounted(t *testing.T) {
+	tr := NewTracer(Config{Seed: 1})
+	tct := tr.Start("", "feedback")
+	const workers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tct.StartChild("exec", "suggest").End()
+			}
+		}()
+	}
+	tct.Finish(200)
+	wg.Wait()
+	retained := len(tct.Spans())
+	if retained > maxSpans || retained+tct.Dropped() != workers*each {
+		t.Errorf("retained %d + dropped %d spans, want at most %d retained and %d in all",
+			retained, tct.Dropped(), maxSpans, workers*each)
+	}
+}
+
+// TestRetentionKeepsRootStages: trimming a heavy trace keeps every root
+// stage and fills the rest of the cap with the earliest children, so the
+// slowest requests — the ones /debug/traces keeps on purpose — still show
+// where their time went, with the kept children nested under exec.
+func TestRetentionKeepsRootStages(t *testing.T) {
+	tr := NewTracer(Config{Seed: 1})
+	tct := tr.Start("", "feedback")
+	now := time.Now()
+	tct.RecordSpan("admit", "", now, time.Millisecond)
+	tct.RecordSpan("queue", "", now, time.Millisecond)
+	tct.RecordSpan("slot", "", now, time.Millisecond)
+	const children = 70
+	for i := 0; i < children; i++ {
+		tct.RecordSpan("suggest", "exec", now, time.Duration(i+1)*time.Microsecond)
+	}
+	tct.RecordSpan("exec", "", now, 100*time.Millisecond)
+	tct.Finish(200)
+
+	spans := tct.Spans()
+	if len(spans) != maxSpans {
+		t.Fatalf("retained %d spans, want %d", len(spans), maxSpans)
+	}
+	if d := tct.Dropped(); d != 4+children-maxSpans {
+		t.Errorf("dropped = %d, want %d", d, 4+children-maxSpans)
+	}
+	kept := 0
+	for i, sp := range spans {
+		if sp.Stage != "suggest" {
+			continue
+		}
+		// The earliest children survive, in recording order.
+		kept++
+		if want := time.Duration(kept) * time.Microsecond; sp.Dur != want {
+			t.Errorf("span %d: child lasts %v, want %v", i, sp.Dur, want)
+		}
+	}
+	if kept != maxSpans-4 {
+		t.Errorf("kept %d children, want %d", kept, maxSpans-4)
+	}
+
+	j, _ := tct.render(0)
+	if j.Dropped != 4+children-maxSpans {
+		t.Errorf("rendered dropped_spans = %d", j.Dropped)
+	}
+	var roots []string
+	for _, n := range j.Spans {
+		roots = append(roots, n.Stage)
+		if n.Stage == "exec" && len(n.Children) != maxSpans-4 {
+			t.Errorf("exec nests %d children, want %d", len(n.Children), maxSpans-4)
+		}
+	}
+	if want := "[admit queue slot exec]"; fmt.Sprint(roots) != want {
+		t.Errorf("rendered roots = %v, want %s", roots, want)
+	}
+}
+
+// TestTrimKeepsFirstRoots: when the roots alone exceed the cap, the trace
+// keeps the first maxSpans of them and no children.
+func TestTrimKeepsFirstRoots(t *testing.T) {
+	tr := NewTracer(Config{Seed: 1})
+	tct := tr.Start("", "feedback")
+	now := time.Now()
+	for i := 0; i < maxSpans+3; i++ {
+		tct.RecordSpan("suggest", "exec", now, time.Microsecond)
+		tct.RecordSpan(fmt.Sprintf("r%d", i), "", now, time.Microsecond)
+	}
+	tct.Finish(200)
+	spans := tct.Spans()
+	if len(spans) != maxSpans || tct.Dropped() != maxSpans+6 {
+		t.Fatalf("retained %d spans, dropped %d; want %d, %d", len(spans), tct.Dropped(), maxSpans, maxSpans+6)
+	}
+	for i, sp := range spans {
+		if want := fmt.Sprintf("r%d", i); sp.Stage != want || sp.Parent != "" {
+			t.Fatalf("span %d = %+v, want root %s", i, sp, want)
+		}
 	}
 }
 
@@ -284,14 +423,6 @@ func TestHandlerServesTraces(t *testing.T) {
 	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_dur=bogus", nil))
 	if rec.Code != 400 {
 		t.Errorf("bad min_dur: status %d, want 400", rec.Code)
-	}
-
-	// A nil tracer serves a well-formed disabled document.
-	rec = httptest.NewRecorder()
-	(*Tracer)(nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	body = TracesBody{Enabled: true}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Enabled {
-		t.Errorf("nil tracer: err=%v enabled=%v", err, body.Enabled)
 	}
 }
 

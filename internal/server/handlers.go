@@ -263,7 +263,6 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	inm := r.Header.Get("If-None-Match")
-	start := time.Now()
 	var resp GroupsResponse
 	var etag string
 	var notModified bool
@@ -294,7 +293,6 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.reg.Histogram("gdrd_suggest_seconds").ObserveSince(start)
 	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
@@ -333,7 +331,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	start := time.Now()
 	var resp UpdatesResponse
 	var empty bool
 	err = e.actor.do(r.Context(), "updates", func(sess *core.Session) {
@@ -353,7 +350,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.reg.Histogram("gdrd_suggest_seconds").ObserveSince(start)
 	if empty {
 		writeNotFound(w, "group")
 		return
@@ -399,7 +395,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: request id longer than %d bytes", ErrBadRequest, maxRequestIDLen))
 		return
 	}
-	start := time.Now()
 	var resp FeedbackResponse
 	// body holds the response rendered once: on the actor when the dedup
 	// window stores it, else after; a replay sends the stored bytes.
@@ -448,7 +443,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.log.Warn("checkpoint after feedback failed",
 			"session", e.id, "trace_id", obs.FromContext(r.Context()).ID(), "err", err)
 	}
-	s.reg.Histogram("gdrd_feedback_seconds").ObserveSince(start)
 	// Count per-item outcomes separately: stale is the multi-client
 	// contention signal, invalid is client misuse — lumping either into
 	// the applied rate would mislead dashboards.

@@ -308,8 +308,8 @@ func TestInFlightCapSheds429(t *testing.T) {
 }
 
 // TestOverloadMetricsScrape: the serving-pressure signals are on /metrics
-// with typed families — queue depth gauge, slot-wait histogram, labeled
-// shed counters.
+// with typed families — queue depth gauge, the slot stage's histogram,
+// labeled shed counters.
 func TestOverloadMetricsScrape(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	createFigure1Session(t, ts)
@@ -317,8 +317,7 @@ func TestOverloadMetricsScrape(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE gdrd_actor_queue_depth gauge",
 		"gdrd_actor_queue_depth 0",
-		"# TYPE gdrd_slot_wait_seconds histogram",
-		"gdrd_slot_wait_seconds_bucket",
+		`gdrd_stage_seconds_bucket{route="create",stage="slot",`,
 		"# TYPE gdrd_shed_total counter",
 	} {
 		if !strings.Contains(got, want) {

@@ -86,7 +86,6 @@ func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 	t := obs.FromContext(ctx)
 	h := t.StartSpan("persist")
 	defer h.End()
-	start := time.Now()
 	data, mut, err := s.encode(obs.WithSpanParent(ctx, "persist"), e)
 	if err != nil {
 		s.reg.Counter("gdrd_checkpoint_failures_total").Inc()
@@ -100,7 +99,6 @@ func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 	}
 	e.ckptSucceeded()
 	s.reg.Counter("gdrd_checkpoints_total").Inc()
-	s.reg.Histogram("gdrd_checkpoint_seconds").ObserveSince(start)
 	return nil
 }
 

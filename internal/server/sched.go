@@ -3,9 +3,6 @@ package server
 import (
 	"context"
 	"sync"
-	"time"
-
-	"gdr/internal/metrics"
 )
 
 // sched is the fair CPU-slot scheduler shared by every session actor (and
@@ -23,9 +20,6 @@ import (
 // acquireSlots mutex provided, now with fairness.
 type sched struct {
 	capacity int
-	// waitHist, when set, observes the seconds each acquire spent waiting
-	// for its slots (the queueing-delay signal dashboards watch).
-	waitHist *metrics.Histogram
 
 	mu      sync.Mutex
 	free    int                     // gdr:guarded-by mu
@@ -52,13 +46,12 @@ type waiter struct {
 	granted bool
 }
 
-func newSched(capacity int, waitHist *metrics.Histogram) *sched {
+func newSched(capacity int) *sched {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &sched{
 		capacity: capacity,
-		waitHist: waitHist,
 		free:     capacity,
 		tenants:  make(map[string]*schedTenant),
 	}
@@ -92,7 +85,6 @@ func (s *sched) tenantLocked(name string) *schedTenant {
 // the error, so cancellation can never leak slots.
 func (s *sched) acquire(ctx context.Context, tenant string, n int) error {
 	n = s.clampSlots(n)
-	start := time.Now()
 	s.mu.Lock()
 	t := s.tenantLocked(tenant)
 	w := &waiter{n: n, seq: s.seq, ready: make(chan struct{})}
@@ -102,12 +94,10 @@ func (s *sched) acquire(ctx context.Context, tenant string, n int) error {
 	granted := w.granted
 	s.mu.Unlock()
 	if granted {
-		s.observeWait(start)
 		return nil
 	}
 	select {
 	case <-w.ready:
-		s.observeWait(start)
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -186,10 +176,4 @@ func tenantBefore(a, b *schedTenant) bool {
 		return a.granted < b.granted
 	}
 	return a.waiters[0].seq < b.waiters[0].seq
-}
-
-func (s *sched) observeWait(start time.Time) {
-	if s.waitHist != nil {
-		s.waitHist.ObserveSince(start)
-	}
 }

@@ -32,7 +32,7 @@ func waitQueued(t *testing.T, s *sched, tenant string, n int) {
 }
 
 func TestSchedClampSlots(t *testing.T) {
-	s := newSched(4, nil)
+	s := newSched(4)
 	for in, want := range map[int]int{-1: 1, 0: 1, 1: 1, 4: 4, 9: 4} {
 		if got := s.clampSlots(in); got != want {
 			t.Fatalf("clampSlots(%d) = %d, want %d", in, got, want)
@@ -44,7 +44,7 @@ func TestSchedClampSlots(t *testing.T) {
 // cold tenant's first acquisition jumps ahead of the hot tenant's next,
 // even though the hot tenant queued first.
 func TestSchedFairness(t *testing.T) {
-	s := newSched(1, nil)
+	s := newSched(1)
 	if err := s.acquire(context.Background(), "hot", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSchedFairness(t *testing.T) {
 // narrower latecomers — the head-of-line rule that makes multi-slot
 // acquisition starvation-free.
 func TestSchedWideWaiterNotStarved(t *testing.T) {
-	s := newSched(4, nil)
+	s := newSched(4)
 	for i := 0; i < 4; i++ {
 		if err := s.acquire(context.Background(), "holder", 1); err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestSchedWideWaiterNotStarved(t *testing.T) {
 // TestSchedCancelReturnsSlots: a waiter whose context expires leaves
 // nothing held, and the capacity remains fully grantable afterwards.
 func TestSchedCancelReturnsSlots(t *testing.T) {
-	s := newSched(2, nil)
+	s := newSched(2)
 	if err := s.acquire(context.Background(), "a", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSchedCancelReturnsSlots(t *testing.T) {
 // stranded.
 func TestSchedCancellationStress(t *testing.T) {
 	const capacity = 4
-	s := newSched(capacity, nil)
+	s := newSched(capacity)
 	tenants := []string{"a", "b", "c"}
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {

@@ -109,9 +109,9 @@ type Config struct {
 	Session core.Config
 	// Logger receives the server's structured logs (nil = silent).
 	Logger *slog.Logger
-	// Trace tunes request tracing. The zero value traces with defaults
-	// (ring of 256, slowest 32); Capacity < 0 disables tracing entirely at
-	// zero per-request cost.
+	// Trace tunes request tracing, which is always on: every span a request
+	// records feeds gdrd_stage_seconds. The zero value keeps a ring of the
+	// last 256 finished traces plus the slowest 32 for /debug/traces.
 	Trace obs.Config
 	// SlowRequest promotes requests at least this slow to warn-level log
 	// lines (0 disables the slow-request escalation).
@@ -232,26 +232,21 @@ func New(cfg Config) *Server {
 	reg.Gauge("gdrd_replica_lag_rounds")
 	reg.Gauge("gdrd_replicas_held")
 	reg.Histogram("gdrd_request_seconds")
-	reg.Histogram("gdrd_suggest_seconds")
-	reg.Histogram("gdrd_feedback_seconds")
-	reg.Histogram("gdrd_checkpoint_seconds")
-	reg.Histogram("gdrd_slot_wait_seconds")
 	reg.Gauge("gdrd_goroutines")
 	reg.Gauge("gdrd_heap_alloc_bytes")
 	reg.Gauge("gdrd_heap_objects")
 	reg.Gauge("gdrd_gc_cycles_total")
 	reg.FloatGauge("gdrd_gc_pause_seconds_total")
 	reg.LabeledGauge("gdrd_build_info", "go_version", runtime.Version(), "revision", buildRevision()).Set(1)
+	// Every span of every finished trace feeds the per-stage latency
+	// histograms, the server's one source of stage timings; the label space
+	// is bounded (fixed stage names × the routeLabel set).
 	tracer := obs.NewTracer(cfg.Trace)
-	if tracer != nil {
-		// Every finished trace feeds the per-stage latency histograms; the
-		// label space is bounded (fixed stage names × the routeLabel set).
-		hists := newStageHists(reg)
-		tracer.OnFinish = func(t *obs.Trace) {
-			route := t.Route()
-			for _, sp := range t.Spans() {
-				hists.get(sp.Stage, route).Observe(sp.Dur.Seconds())
-			}
+	hists := newStageHists(reg)
+	tracer.OnFinish = func(t *obs.Trace) {
+		route := t.Route()
+		for _, sp := range t.Spans() {
+			hists.get(sp.Stage, route).Observe(sp.Dur.Seconds())
 		}
 	}
 	s := &Server{
@@ -469,9 +464,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		var t *obs.Trace
 		if !exemptPath(r.URL.Path) {
 			t = s.tracer.Start(r.Header.Get("Traceparent"), route)
-			if tp := t.TraceParent(); tp != "" {
-				w.Header().Set("Traceparent", tp)
-			}
+			w.Header().Set("Traceparent", t.TraceParent())
 			r = r.WithContext(obs.NewContext(r.Context(), t))
 		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, trace: t}

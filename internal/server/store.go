@@ -16,6 +16,7 @@ import (
 	"gdr/internal/core"
 	"gdr/internal/faultfs"
 	"gdr/internal/metrics"
+	"gdr/internal/obs"
 	"gdr/internal/relation"
 	"gdr/internal/snapshot"
 )
@@ -257,7 +258,7 @@ func NewStore(cfg Config, reg *metrics.Registry) *Store {
 		ttl:         cfg.TTL,
 		maxLive:     cfg.MaxSessions,
 		session:     cfg.Session,
-		sched:       newSched(workers, reg.Histogram("gdrd_slot_wait_seconds")),
+		sched:       newSched(workers),
 		queueDepth:  cfg.QueueDepth,
 		faults:      cfg.Faults,
 		reg:         reg,
@@ -456,10 +457,13 @@ func (s *Store) CreateAs(ctx context.Context, tenant string, req CreateSessionRe
 	// Construction runs with workers-way fan-out, so it must hold that many
 	// slots — the same accounting the actors enforce — or concurrent builds
 	// would overshoot the CPU budget and starve live sessions' commands.
+	// The wait is a root slot span, as an actor command's is.
+	slotStart := time.Now()
 	if err := s.sched.acquire(ctx, tenant, workers); err != nil {
 		rollback()
 		return SessionInfo{}, core.Stats{}, errExpiredQueued()
 	}
+	obs.FromContext(ctx).RecordSince("slot", "", slotStart)
 	sess, err := build()
 	s.sched.release(tenant, workers)
 	if err != nil {

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,24 +155,102 @@ func TestTracesLoopbackOnly(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled runs the stack with Capacity -1: requests must work
-// unchanged with no trace headers, and /debug/traces reports disabled.
-func TestTracingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{Trace: obs.Config{Capacity: -1}})
-	created := createFigure1Session(t, ts)
-	resp := feedbackFirstGroup(t, ts, created.Session.ID, "")
-	if h := resp.Header.Get("Traceparent"); h != "" {
-		t.Errorf("disabled tracing still echoed traceparent %q", h)
+// TestFeedbackOverSpanCapReachesStageHistograms sends one feedback round
+// whose engine phases overflow the trace's retention cap. The cap bounds
+// only what /debug/traces keeps: the response's Server-Timing still
+// carries exec, and gdrd_stage_seconds counts the round's exec exactly once.
+func TestFeedbackOverSpanCapReachesStageHistograms(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Trace: obs.Config{Seed: 1}})
+	csvText, rulesText, _ := hospitalUpload(t, 400, 7)
+	base := ts.URL + "/v1/sessions/" + createHTTPSession(t, ts, csvText, rulesText, 7)
+	var groups GroupsResponse
+	if code := doJSON(t, ts.Client(), "GET", base+"/groups?order=greedy", nil, &groups); code != 200 {
+		t.Fatalf("groups: status %d", code)
 	}
-	if h := resp.Header.Get("Server-Timing"); h != "" {
-		t.Errorf("disabled tracing still sent Server-Timing %q", h)
+	// About 80 pending updates: each applied one regenerates suggestions
+	// under its own suggest span.
+	var items []FeedbackItem
+	for _, g := range groups.Groups {
+		if len(items) >= 80 {
+			break
+		}
+		var ups UpdatesResponse
+		if code := doJSON(t, ts.Client(), "GET", base+"/groups/"+g.Key+"/updates", nil, &ups); code != 200 {
+			t.Fatalf("updates: status %d", code)
+		}
+		for _, u := range ups.Updates {
+			items = append(items, FeedbackItem{Tid: u.Tid, Attr: u.Attr, Value: u.Value, Feedback: "confirm"})
+		}
 	}
+	payload, err := json.Marshal(FeedbackRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(base+"/feedback", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reading to EOF waits out the handler, so the trace has finished.
+	_, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("feedback: status %d, err %v", resp.StatusCode, err)
+	}
+
 	var body obs.TracesBody
 	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/debug/traces", nil, &body); code != 200 {
 		t.Fatalf("/debug/traces: status %d", code)
 	}
-	if body.Enabled {
-		t.Error("traces body should report disabled")
+	if len(body.Recent) == 0 || body.Recent[0].Route != "feedback" {
+		t.Fatalf("newest trace is not the feedback round: %+v", body.Recent)
+	}
+	if body.Recent[0].Dropped == 0 {
+		t.Fatalf("a %d-item round stayed under the span cap; the test needs a bigger batch", len(items))
+	}
+	if st := resp.Header.Get("Server-Timing"); !strings.Contains(st, "exec;dur=") {
+		t.Errorf("Server-Timing %q lost the exec stage", st)
+	}
+	exec := srv.Registry().LabeledHistogram("gdrd_stage_seconds", "stage", "exec", "route", "feedback")
+	if n := exec.Count(); n != 1 {
+		t.Errorf("exec/feedback observations = %d, want 1 for one feedback request", n)
+	}
+}
+
+// TestOneLatencySource drives every session route once on a durable server
+// and pins the metrics contract: the trace's spans are the only stage
+// timings, so /metrics carries exactly two histogram families, and the
+// create's slot wait is one of the spans.
+func TestOneLatencySource(t *testing.T) {
+	srv, ts := newDurableServer(t, t.TempDir(), core.Config{Workers: 1})
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	created := createFigure1Session(t, ts)
+	base := ts.URL + "/v1/sessions/" + created.Session.ID
+	if code := doJSON(t, ts.Client(), "GET", ts.URL+"/v1/sessions", nil, nil); code != 200 {
+		t.Fatalf("list: status %d", code)
+	}
+	feedbackFirstGroup(t, ts, created.Session.ID, "") // groups, updates, feedback
+	for _, req := range []struct{ method, path string }{
+		{"GET", "/status"}, {"GET", "/export"}, {"POST", "/snapshot"}, {"DELETE", ""},
+	} {
+		if code := doJSON(t, ts.Client(), req.method, base+req.path, nil, nil); code != 200 {
+			t.Fatalf("%s %s: status %d", req.method, req.path, code)
+		}
+	}
+
+	got := metricsText(t, ts)
+	var families []string
+	for _, line := range strings.Split(got, "\n") {
+		if name, ok := strings.CutSuffix(line, " histogram"); ok {
+			families = append(families, strings.TrimPrefix(name, "# TYPE "))
+		}
+	}
+	if want := "[gdrd_request_seconds gdrd_stage_seconds]"; fmt.Sprint(families) != want {
+		t.Errorf("histogram families = %v, want %s", families, want)
+	}
+	// Two slot waits on route create: the build's, and the checkpoint
+	// encode's under persist.
+	if !strings.Contains(got, `gdrd_stage_seconds_count{route="create",stage="slot"} 2`+"\n") {
+		t.Error("the create's slot wait is not counted in gdrd_stage_seconds")
 	}
 }
 
