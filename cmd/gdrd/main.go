@@ -44,8 +44,8 @@
 // the endpoints to tenants.
 //
 // -chaos injects faults for development and soak testing (checkpoint
-// write/fsync/rename failures, slow actors); it is loud on startup and must
-// never be set in production.
+// write/fsync/rename failures, slow session commands); it is loud on
+// startup and must never be set in production.
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: in-flight requests and
 // session commands finish, checkpoints flush, then the process exits.
@@ -98,14 +98,14 @@ func main() {
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&opts.maxSessions, "max-sessions", 64, "cap on live sessions (-1 = uncapped)")
 	flag.DurationVar(&opts.ttl, "ttl", 30*time.Minute, "idle session time-to-live")
-	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "CPU slots shared by all session actors")
+	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "CPU slots shared by all sessions")
 	flag.DurationVar(&opts.drain, "drain", 30*time.Second, "graceful shutdown timeout")
 	flag.BoolVar(&opts.quiet, "quiet", false, "suppress per-request log lines (warnings still log)")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "directory for durable session snapshots (empty = sessions die with the process)")
 	flag.DurationVar(&opts.checkpoint, "checkpoint", 30*time.Second, "periodic checkpoint-retry cadence (with -data-dir)")
 	flag.IntVar(&opts.pprofPort, "pprof", 0, "serve net/http/pprof and /debug/traces on 127.0.0.1:PORT (0 = disabled)")
 	flag.StringVar(&opts.keyfile, "keyfile", "", "tenant keyfile enabling auth + per-tenant quotas (empty = open mode)")
-	flag.DurationVar(&opts.deadline, "deadline", time.Minute, "per-request deadline, propagated through the actor queue (0 = none)")
+	flag.DurationVar(&opts.deadline, "deadline", time.Minute, "per-request deadline; a command still waiting for its session's turn or CPU slots when it expires is shed with 503 (0 = none)")
 	flag.IntVar(&opts.queueDepth, "queue-depth", 64, "per-session command queue bound; the excess is shed with 503")
 	flag.StringVar(&opts.chaos, "chaos", "", "DEV ONLY: fault-injection spec, e.g. write=0.3,sync=0.2,rename=0.1,actor=1:25ms")
 	flag.Int64Var(&opts.chaosSeed, "chaos-seed", 1, "seed for -chaos fault rolls (reproducible runs)")

@@ -235,6 +235,14 @@ func TestClusterReplicationChaos(t *testing.T) {
 		mustEqualObservation(t, label, observe(t, cs), observe(t, ctl))
 	}
 
+	// Arm phase A before round 0: every replica push now dies at the wire.
+	// The create's first push landed before it answered, so the replica
+	// starts level and rounds 0 and 1 leave it two rounds behind. (Armed
+	// after round 0, that round's push could pass the fault check first
+	// and then export a session round 1 had already reached, catching the
+	// replica up.)
+	faults.Set(cluster.FaultReplicate, faultfs.Rule{P: 1})
+
 	phases := 0
 	rounds := 0
 	for ; rounds < maxRounds; rounds++ {
@@ -251,11 +259,6 @@ func TestClusterReplicationChaos(t *testing.T) {
 		}
 
 		switch rounds {
-		case 0:
-			// Arm phase A: every replica push now dies at the wire, so the
-			// feedback round just driven (and the next) leaves the replica
-			// behind its primary.
-			faults.Set(cluster.FaultReplicate, faultfs.Rule{P: 1})
 		case 1:
 			// Phase A — push failures are loud, and healing converges. The
 			// replica is stale right now; a sync must say so, and serving

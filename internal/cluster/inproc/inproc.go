@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"time"
 
 	"gdr/internal/cluster"
@@ -43,10 +44,37 @@ type Node struct {
 	addr string
 	srv  *server.Server
 	hs   *http.Server // nil while killed
+	boot *boot        // the handlers of the current boot
 }
 
 // Live reports whether the node is serving: booted and not killed since.
 func (n *Node) Live() bool { return n.hs != nil }
+
+// boot counts the requests one boot of a node is handling, so Kill can
+// wait for them: http.Server.Close does not wait for running handlers, and
+// a handler still writing into the data dir would race a wipe. A request
+// that reaches a killed boot's handler is dropped unanswered.
+type boot struct {
+	mu      sync.Mutex
+	killed  bool // gdr:guarded-by mu
+	running sync.WaitGroup
+}
+
+func (b *boot) handler(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.mu.Lock()
+		if b.killed {
+			b.mu.Unlock()
+			panic(http.ErrAbortHandler) // a dead process answers nothing
+		}
+		// Add only under mu while not killed: Kill waits only after it set
+		// killed, so no Add can race the Wait.
+		b.running.Add(1)
+		b.mu.Unlock()
+		defer b.running.Done()
+		next.ServeHTTP(w, r)
+	})
+}
 
 // Cluster is the booted rig: nodes, proxy, and the proxy's front door.
 type Cluster struct {
@@ -130,7 +158,8 @@ func (c *Cluster) serve(n *Node, ln net.Listener) {
 		Session:     core.Config{Workers: c.opts.SessionWorkers},
 		Logger:      slog.New(slog.DiscardHandler),
 	})
-	n.hs = &http.Server{Handler: n.srv.Handler()}
+	n.boot = &boot{}
+	n.hs = &http.Server{Handler: n.boot.handler(n.srv.Handler())}
 	hs := n.hs
 	go func() {
 		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
@@ -142,15 +171,20 @@ func (c *Cluster) serve(n *Node, ln net.Listener) {
 }
 
 // Kill makes node i drop off the network abruptly, like a crashed process:
-// its listener closes mid-flight and nothing drains. Its data dir
-// survives, so Restart brings back what it last checkpointed.
+// its listener closes mid-flight and nothing drains, and Kill returns once
+// the killed boot's handlers have all exited. Its data dir survives, so
+// Restart brings back what it last checkpointed.
 func (c *Cluster) Kill(i int) {
 	n := c.Nodes[i]
 	if n.hs == nil {
 		return
 	}
+	n.boot.mu.Lock()
+	n.boot.killed = true
+	n.boot.mu.Unlock()
 	_ = n.hs.Close()
 	n.srv.Close()
+	n.boot.running.Wait()
 	n.hs = nil
 }
 

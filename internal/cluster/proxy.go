@@ -114,6 +114,10 @@ type Proxy struct {
 	replPend map[string]struct{} // gdr:guarded-by replMu — tokens to (re)push
 	replDrop map[string]struct{} // gdr:guarded-by replMu — tokens to drop
 	replWake chan struct{}       // buffered(1) doorbell for the replicator
+	// drainMu serializes queue drains: SyncReplicas holds it throughout, so
+	// the replicator cannot take (and silently fail) a push the sync's own
+	// audit queued.
+	drainMu sync.Mutex
 
 	stop     chan struct{}
 	healthWG sync.WaitGroup

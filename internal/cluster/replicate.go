@@ -121,7 +121,9 @@ func (p *Proxy) replicator() {
 	for {
 		select {
 		case <-p.replWake:
+			p.drainMu.Lock()
 			p.drainReplication(context.Background())
+			p.drainMu.Unlock()
 		case <-p.stop:
 			return
 		}
@@ -131,7 +133,7 @@ func (p *Proxy) replicator() {
 // drainReplication processes everything currently queued, in token order.
 // A failed push is counted and logged but not re-queued here — the
 // anti-entropy audit re-derives the need on the next health tick, which
-// also gives the target time to recover.
+// also gives the target time to recover. Callers hold drainMu.
 func (p *Proxy) drainReplication(ctx context.Context) error {
 	p.replMu.Lock()
 	pushes := make([]string, 0, len(p.replPend))
@@ -320,6 +322,8 @@ func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, 
 // queue, audit, drain again. Tests and operational scripts call this
 // before deliberately killing a node, so the kill provably costs nothing.
 func (p *Proxy) SyncReplicas(ctx context.Context) error {
+	p.drainMu.Lock()
+	defer p.drainMu.Unlock()
 	if err := p.drainReplication(ctx); err != nil {
 		return err
 	}

@@ -16,7 +16,6 @@ import (
 	"gdr/internal/learn"
 	"gdr/internal/relation"
 	"gdr/internal/repair"
-	"gdr/internal/strsim"
 	"gdr/internal/voi"
 )
 
@@ -461,10 +460,13 @@ func (s *Session) model(attr string) *learn.Model {
 
 // Features builds the learner input for an update per the paper's data
 // representation: the original tuple's attribute values and the suggested
-// value as categorical features, plus R(t[Ai], v) as the numeric
-// relationship feature. It must be called before the update is applied.
+// value as categorical features, plus the relationship feature
+// R(t[Ai], v) as the numeric one. That feature is the update's own Score,
+// which the generator sets by Eq. 7 to the similarity of the cell's
+// current value and the suggested one. It must be called before the
+// update is applied.
 func (s *Session) Features(u repair.Update) (cats []string, sim float64) {
-	return s.appendCats(make([]string, 0, s.db.Schema.Arity()+1), u), s.similarity(u)
+	return s.appendCats(make([]string, 0, s.db.Schema.Arity()+1), u), u.Score
 }
 
 // appendCats appends the categorical features of u to dst: the tuple's
@@ -475,11 +477,6 @@ func (s *Session) appendCats(dst []string, u repair.Update) []string {
 		dst = append(dst, s.db.Dict(ai).Val(v))
 	}
 	return append(dst, u.Value)
-}
-
-// similarity is the relationship feature R(t[Ai], v) of an update.
-func (s *Session) similarity(u repair.Update) float64 {
-	return strsim.Similarity(s.db.Get(u.Tid, u.Attr), u.Value)
 }
 
 // example builds the training example a user answer on u contributes.
@@ -554,15 +551,11 @@ func (s *Session) Trusted(attr string) bool {
 }
 
 // predVal is a memoized prediction of the suggestion value for one cell.
-// sim, the update's relationship feature, depends only on the cell's value
-// and the suggested one, so it stays valid while tupleVer matches even after
-// the model retrains. The fields are ordered largest first, which keeps the
-// entry at 72 bytes.
+// The fields are ordered largest first, which keeps the entry at 64 bytes.
 type predVal struct {
 	votes    learn.Votes
 	value    string
 	modelGen int64
-	sim      float64
 	label    learn.Label
 	tupleVer uint32
 	ok       bool
@@ -605,14 +598,8 @@ func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 	m := s.model(u.Attr)
 	key := s.memoKey(u.Cell())
 	ver := s.tupleVer[u.Tid]
-	v, hit := s.memo[key]
-	hit = hit && v.value == u.Value && v.tupleVer == ver
-	if hit && v.modelGen == m.Gen() {
+	if v, hit := s.memo[key]; hit && v.value == u.Value && v.tupleVer == ver && v.modelGen == m.Gen() {
 		return v.label, v.votes, v.ok
-	}
-	sim := v.sim
-	if !hit {
-		sim = s.similarity(u)
 	}
 	// The committee only reads the features, so the serial path builds
 	// them in a reused buffer (probFrozen, which runs concurrently, does
@@ -627,14 +614,14 @@ func (s *Session) Predict(u repair.Update) (learn.Label, learn.Votes, bool) {
 		// covers the whole call so the committee growth is attributed, not
 		// the cheap vote.
 		done := s.phase(PhaseRetrain)
-		label, votes, ok = m.Predict(cats, sim)
+		label, votes, ok = m.Predict(cats, u.Score)
 		if done != nil {
 			done()
 		}
 	} else {
-		label, votes, ok = m.Predict(cats, sim)
+		label, votes, ok = m.Predict(cats, u.Score)
 	}
-	s.memo[key] = predVal{label: label, votes: votes, value: u.Value, ok: ok, modelGen: m.Gen(), tupleVer: ver, sim: sim}
+	s.memo[key] = predVal{label: label, votes: votes, value: u.Value, ok: ok, modelGen: m.Gen(), tupleVer: ver}
 	s.memoPeak = max(s.memoPeak, len(s.memo))
 	return label, votes, ok
 }

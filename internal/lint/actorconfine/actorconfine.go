@@ -1,10 +1,10 @@
 // Package actorconfine implements the gdrlint analyzer that enforces the
 // serving tier's actor confinement: a core.Session is single-writer by
-// design, and internal/server wraps each one in an actor goroutine that
-// executes queued closures — HTTP handlers must never touch a session
-// directly. The analyzer flags, inside any package whose import-path base
-// is "server", every core.Session method call whose receiver is not rooted
-// in a function parameter.
+// design, and internal/server runs every command on one under its session's
+// turn in (*actor).do — HTTP handlers must never touch a session directly.
+// The analyzer flags, inside any package whose import-path base is
+// "server", every core.Session method call whose receiver is not rooted in
+// a function parameter.
 //
 // The parameter rule is how confinement propagates: the only sanctioned
 // ways to hold a session are the `func(sess *core.Session)` closures handed
@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "in server packages, core.Session methods may only be called on a " +
 		"session received as a function parameter (the actor's do-closures " +
 		"and helpers they call) — never on one pulled from a field or " +
-		"constructed locally, which would bypass the actor goroutine",
+		"constructed locally, which would skip the session's turn",
 	Run: run,
 }
 

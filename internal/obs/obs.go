@@ -3,8 +3,8 @@
 //
 // Every HTTP request gets a Trace at ingress — its ID adopted from an
 // incoming W3C traceparent header or minted from the tracer's seeded RNG —
-// and the trace rides the request context through admission, the actor
-// queue, the CPU-slot scheduler, command execution, the engine phases and
+// and the trace rides the request context through admission, the session's
+// turn, the CPU-slot scheduler, command execution, the engine phases and
 // the checkpoint pipeline. Each tier records flat Spans (stage name, parent
 // stage name, offset, duration); the span tree is only materialized when a
 // human asks for it at /debug/traces. Every span a request records reaches
@@ -503,9 +503,9 @@ func (t *Trace) Status() int {
 // ctxKey carries the *Trace in a request context.
 type ctxKey struct{}
 
-// parentKey carries the span-parent stage name across the actor boundary:
-// a tier that dispatches actor work inside an open span (the checkpoint
-// path) sets it so the actor's queue/slot/exec spans nest correctly.
+// parentKey carries the span-parent stage name into a session command: a
+// tier that runs a command inside an open span (the checkpoint path) sets
+// it so the command's queue/slot/exec spans nest correctly.
 type parentKey struct{}
 
 // NewContext returns ctx carrying the trace (ctx unchanged for nil).

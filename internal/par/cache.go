@@ -10,10 +10,10 @@ import (
 const stripes = 64
 
 // Cache is a bounded, lock-striped memo map safe for concurrent use. It
-// backs the library's read-mostly hot-path caches (similarity scores, VOI
-// benefit entries): entries are cheap to recompute, so when a stripe
-// reaches its share of the capacity it is simply reset. Values must be
-// immutable once stored — Get returns them without copying.
+// backs the repair generator's read-mostly memo of Eq. 7 similarity
+// scores: entries are cheap to recompute, so when a stripe reaches its
+// share of the capacity it is simply reset. Values must be immutable once
+// stored — Get returns them without copying.
 type Cache[K comparable, V any] struct {
 	seed      maphash.Seed
 	stripeCap int

@@ -19,59 +19,37 @@ import (
 // session.
 var ErrSessionClosed = errors.New("server: session closed")
 
-// actor wraps one core.Session — which is single-writer by design — in a
-// command loop: one goroutine owns the session and executes closures from a
-// bounded queue, so any number of concurrent HTTP handlers can touch the
-// session without locks on the hot paths. CPU time across all actors is
-// budgeted by the store's fair slot scheduler: a command holds as many
-// slots as its session's worker fan-out while it runs, charged to the
-// session's tenant, so M live sessions make progress in parallel up to the
-// budget and no tenant can monopolize it.
-//
-// Overload never blocks: a full queue sheds the command immediately
-// (ErrOverloaded → 503 + Retry-After), and a command whose request context
-// expires while it waits — in the queue or for CPU slots — is dropped
-// before it spends any, with the same deterministic 503.
+// actor serializes the commands on one core.Session, which is single-writer
+// by design. A command runs on its caller's goroutine while it holds the
+// session's turn, a one-slot channel: Go hands a freed channel slot to its
+// blocked senders in arrival order, so commands run one at a time, first
+// come first served, and no goroutine is parked per session. A sync.Mutex
+// would do neither: it cannot be abandoned when the request context
+// expires, and it does not queue its waiters in order. CPU time across all
+// sessions is budgeted by the store's fair slot scheduler: a command holds
+// as many slots as its session's worker fan-out while it runs, charged to
+// the session's tenant, so M live sessions make progress in parallel up to
+// the budget and no tenant can monopolize it.
 type actor struct {
-	sess   *core.Session
-	cmds   chan *command
-	done   chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
-	slots  int // slots one command occupies: the session's worker fan-out
-	tenant string
-	sched  *sched
-	reg    *metrics.Registry
-	faults *faultfs.Injector
+	sess    *core.Session
+	turn    chan struct{} // one slot: a command holds it while it runs
+	done    chan struct{}
+	once    sync.Once
+	waiting atomic.Int32 // commands waiting for the turn
+	depth   int          // how many commands may wait while one runs
+	slots   int          // slots one command occupies: the session's worker fan-out
+	tenant  string
+	sched   *sched
+	reg     *metrics.Registry
+	faults  *faultfs.Injector
 
-	// cur is the trace of the command being executed right now. It is
-	// written and read only on the actor goroutine (set before run, cleared
-	// after), which is also where the session's phase hook fires — so engine
-	// phases can attach spans to the request that triggered them without any
-	// synchronization.
+	// cur is the trace of the command being executed right now. Only the
+	// turn holder writes or reads it (set before fn runs, cleared after),
+	// and the session's phase hook fires inside fn, so engine phases can
+	// attach spans to the request that triggered them; the turn's channel
+	// handoff orders one holder's accesses before the next's.
 	cur *obs.Trace
 }
-
-// command is one queued unit of session work. state is the handshake
-// between the caller (which may abandon a command it no longer waits for)
-// and the loop (which claims it before running). The loop reports back by
-// either running run (which finishes the command) or calling drop with the
-// reason it refused to.
-type command struct {
-	state atomic.Int32
-	ctx   context.Context
-	name  string    // short verb for pprof labels and traces ("feedback", "encode", …)
-	enq   time.Time // when the command entered the queue, for the queue-wait span
-	run   func()
-	drop  func(error)
-}
-
-// Command lifecycle states.
-const (
-	cmdPending   = iota // queued, not yet picked up
-	cmdRunning          // the loop owns it; run or drop will resolve it
-	cmdAbandoned        // the caller gave up first; the loop must skip it
-)
 
 // defaultQueueDepth bounds how many commands one session may have waiting
 // when Config.QueueDepth is unset. Beyond it the command is shed, not
@@ -85,8 +63,9 @@ func newActor(sess *core.Session, sch *sched, slots int, tenant string, queueDep
 	}
 	a := &actor{
 		sess:   sess,
-		cmds:   make(chan *command, queueDepth),
+		turn:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
+		depth:  queueDepth,
 		slots:  sch.clampSlots(slots),
 		tenant: tenant,
 		sched:  sch,
@@ -94,8 +73,9 @@ func newActor(sess *core.Session, sch *sched, slots int, tenant string, queueDep
 		faults: faults,
 	}
 	// The phase hook lets the repair engine attribute its internal phases
-	// (suggest/rerank/retrain) to the request being executed. It fires on
-	// the actor goroutine, inside c.run, so reading a.cur needs no lock.
+	// (suggest/rerank/retrain) to the request being executed. It fires
+	// inside a command, on the turn holder's goroutine, so reading a.cur
+	// needs no lock.
 	sess.SetPhaseHook(func(phase string) func() {
 		t := a.cur
 		if t == nil {
@@ -104,62 +84,7 @@ func newActor(sess *core.Session, sch *sched, slots int, tenant string, queueDep
 		h := t.StartChild("exec", phase)
 		return h.End
 	})
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		for {
-			select {
-			case c := <-a.cmds:
-				a.queueGauge().Add(-1)
-				// Claim before spending shared CPU slots: an abandoned
-				// command must not delay live sessions' work.
-				if !c.state.CompareAndSwap(cmdPending, cmdRunning) {
-					continue
-				}
-				// A command whose deadline budget was spent in the queue is
-				// dropped before it costs anything; likewise one whose
-				// budget runs out while waiting for CPU slots.
-				if c.ctx.Err() != nil {
-					a.shed("deadline")
-					c.drop(errExpiredQueued())
-					continue
-				}
-				t := obs.FromContext(c.ctx)
-				parent := obs.SpanParent(c.ctx)
-				t.RecordSince("queue", parent, c.enq)
-				slotStart := time.Now()
-				if err := a.sched.acquire(c.ctx, a.tenant, a.slots); err != nil {
-					a.shed("deadline")
-					c.drop(errExpiredQueued())
-					continue
-				}
-				t.RecordSince("slot", parent, slotStart)
-				a.faults.Fault(faultfs.Actor) // chaos: slow actor, slots held
-				a.runLabeled(t, parent, c)
-				a.sched.release(a.tenant, a.slots)
-			case <-a.done:
-				return
-			}
-		}
-	}()
 	return a
-}
-
-// runLabeled executes one claimed command under an exec span and pprof
-// labels (tenant, route, cmd), so CPU profiles attribute actor work to the
-// traffic that caused it.
-func (a *actor) runLabeled(t *obs.Trace, parent string, c *command) {
-	h := t.StartChild(parent, "exec")
-	a.cur = t
-	route := t.Route()
-	if route == "" {
-		route = "none"
-	}
-	pprof.Do(c.ctx, pprof.Labels("tenant", metricTenant(a.tenant), "route", route, "cmd", c.name), func(context.Context) {
-		c.run()
-	})
-	a.cur = nil
-	h.End()
 }
 
 func (a *actor) queueGauge() *metrics.Gauge {
@@ -179,78 +104,117 @@ func metricTenant(tenant string) string {
 	return tenant
 }
 
-// do runs fn on the actor goroutine with exclusive access to the session
-// and waits for it to finish. Admission is shed-early: a full queue fails
-// immediately with ErrOverloaded (the caller maps it to 503 +
-// Retry-After), and a command whose context expires while it is still
-// queued — on either side of the handshake — resolves to the same
-// deterministic overload error. Once fn has started it always runs to
-// completion (the session must never be left mid-command); a caller whose
-// context expires mid-run waits it out and still gets nil, because the
+// closed reports whether close has begun.
+func (a *actor) closed() bool {
+	select {
+	case <-a.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// do runs fn with exclusive access to the session and returns once it has
+// finished. Overload never blocks: a command that finds QueueDepth others
+// waiting for the turn fails immediately with ErrOverloaded (the caller
+// maps it to 503 + Retry-After), and a command whose context expires while
+// it waits — for the turn or for CPU slots — is dropped before it spends
+// any, with the same deterministic overload error. Once fn has started it
+// always runs to completion (the session must never be left mid-command);
+// a caller whose context expires mid-run still gets nil, because the
 // decision was applied.
 //
 // A panic inside fn is contained to this one command: in a multi-tenant
-// daemon, one session tripping an edge case must not unwind the actor
-// goroutine and take every other tenant down. The panic comes back as this
-// call's error (the session may be mid-mutation — the caller decides
-// whether to keep using it).
+// daemon, one session tripping an edge case must not take every other
+// tenant down. The panic comes back as this call's error (the session may
+// be mid-mutation — the caller decides whether to keep using it).
 func (a *actor) do(ctx context.Context, name string, fn func(sess *core.Session)) error {
-	ran := make(chan struct{})
-	// cmdErr is written by whichever side resolves the command, always
-	// before close(ran), and read only after <-ran.
-	var cmdErr error
-	c := &command{ctx: ctx, name: name, enq: time.Now()}
-	c.run = func() {
-		defer close(ran)
-		defer func() {
-			if p := recover(); p != nil {
-				cmdErr = fmt.Errorf("server: session command panicked: %v", p)
-			}
-		}()
-		fn(a.sess)
-	}
-	c.drop = func(err error) {
-		cmdErr = err
-		close(ran)
-	}
-	select {
-	case <-a.done:
+	if a.closed() {
 		return ErrSessionClosed
-	default:
 	}
-	select {
-	case a.cmds <- c:
-		a.queueGauge().Add(1)
-	default:
+	if int(a.waiting.Add(1)) > a.depth {
+		a.waiting.Add(-1)
 		// Queue saturated: shed now, never block the handler. The client
-		// retries after backoff; blocking here would pile goroutines up
+		// retries after backoff; waiting here would pile goroutines up
 		// behind a session that is already drowning.
 		a.shed("queue")
 		return errQueueFull()
 	}
+	enq := time.Now()
+	queued := a.queueGauge()
+	queued.Add(1)
+	held := false
 	select {
-	case <-ran:
-		return cmdErr
+	case a.turn <- struct{}{}:
+		held = true
 	case <-a.done:
-		if c.state.CompareAndSwap(cmdPending, cmdAbandoned) {
-			return ErrSessionClosed
-		}
-		<-ran // mid-flight; close() waits for the loop, so this resolves
-		return cmdErr
 	case <-ctx.Done():
-		if c.state.CompareAndSwap(cmdPending, cmdAbandoned) {
-			a.shed("deadline")
-			return errExpiredQueued()
-		}
-		<-ran
-		return cmdErr
 	}
+	a.waiting.Add(-1)
+	queued.Add(-1)
+	// A closing session wins over a granted turn, and a command whose
+	// deadline budget was spent waiting is dropped before it costs
+	// anything.
+	var err error
+	switch {
+	case a.closed():
+		err = ErrSessionClosed
+	case ctx.Err() != nil:
+		a.shed("deadline")
+		err = errExpiredQueued()
+	}
+	if err != nil {
+		if held {
+			<-a.turn
+		}
+		return err
+	}
+	defer func() { <-a.turn }()
+	t := obs.FromContext(ctx)
+	parent := obs.SpanParent(ctx)
+	t.RecordSince("queue", parent, enq)
+	slotStart := time.Now()
+	if err := a.sched.acquire(ctx, a.tenant, a.slots); err != nil {
+		a.shed("deadline")
+		return errExpiredQueued()
+	}
+	t.RecordSince("slot", parent, slotStart)
+	a.faults.Fault(faultfs.Actor) // chaos: slow command, turn and slots held
+	err = a.runLabeled(ctx, t, parent, name, fn)
+	a.sched.release(a.tenant, a.slots)
+	return err
 }
 
-// close stops the command loop. Queued commands that were not yet picked up
-// are dropped; their callers get ErrSessionClosed. close waits for the loop
-// goroutine (and thus any in-flight command) to finish.
+// runLabeled executes one command under an exec span and pprof labels
+// (tenant, route, cmd), so CPU profiles attribute session work to the
+// traffic that caused it. A panic in fn comes back as the error.
+func (a *actor) runLabeled(ctx context.Context, t *obs.Trace, parent, name string, fn func(*core.Session)) (err error) {
+	h := t.StartChild(parent, "exec")
+	a.cur = t
+	route := t.Route()
+	if route == "" {
+		route = "none"
+	}
+	pprof.Do(ctx, pprof.Labels("tenant", metricTenant(a.tenant), "route", route, "cmd", name), func(context.Context) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("server: session command panicked: %v", p)
+			}
+		}()
+		fn(a.sess)
+	})
+	a.cur = nil
+	h.End()
+	return err
+}
+
+// close stops the session: commands still waiting for the turn get
+// ErrSessionClosed, and none starts once close has begun. close takes the
+// turn and keeps it, so it returns only after the running command, if any,
+// has finished. It is idempotent and safe to call concurrently with do.
 func (a *actor) close() {
-	a.once.Do(func() { close(a.done) })
-	a.wg.Wait()
+	a.once.Do(func() {
+		close(a.done)
+		a.turn <- struct{}{}
+	})
 }

@@ -10,10 +10,10 @@ const dedupWindowSize = 32
 
 // dedupWindow remembers the last dedupWindowSize feedback responses by
 // client request id, so a retried POST (same X-Gdr-Request-Id) replays the
-// original bytes instead of double-applying the round. It is actor-confined
-// state: every method must run on the owning session's actor goroutine,
-// which is also what lets it be persisted inside the session snapshot —
-// state and window roll back (or fail over) atomically.
+// original bytes instead of double-applying the round. It is confined like
+// the session: every method must run inside a command holding the owning
+// session's turn, which is also what lets it be persisted inside the
+// session snapshot — state and window roll back (or fail over) atomically.
 type dedupWindow struct {
 	ring  []snapshot.DedupEntry // oldest-first up to next, insertion ring
 	next  int                   // slot the next put overwrites once full

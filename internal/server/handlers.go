@@ -396,8 +396,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp FeedbackResponse
-	// body holds the response rendered once: on the actor when the dedup
-	// window stores it, else after; a replay sends the stored bytes.
+	// body holds the response rendered once: inside the command when the
+	// dedup window stores it, else after; a replay sends the stored bytes.
 	var body []byte
 	var encErr error
 	replay := false
@@ -405,9 +405,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		// Exactly-once retries: a request id seen within the dedup window
 		// replays the original response bytes without touching the session.
 		// Everything — the window check, the apply, the sequence bump and
-		// the response rendering — happens on the actor, so a snapshot
-		// encoded later on this goroutine always captures state, watermark
-		// and window in a mutually consistent cut.
+		// the response rendering — happens inside this one command, so a
+		// snapshot encoded by a later command always captures state,
+		// watermark and window in a mutually consistent cut.
 		if reqID != "" {
 			if body, replay = e.dedup.get(reqID); replay {
 				return
@@ -468,7 +468,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, http.StatusOK, body)
 }
 
-// applyFeedbackBatch runs on the session's actor goroutine.
+// applyFeedbackBatch runs inside a command holding the session's turn.
 func applyFeedbackBatch(sess *core.Session, req FeedbackRequest) FeedbackResponse {
 	before := sess.Stats()
 	resp := FeedbackResponse{Results: make([]FeedbackResult, len(req.Items))}

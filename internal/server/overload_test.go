@@ -125,7 +125,7 @@ func TestQueueFullSheds503(t *testing.T) {
 		queued <- e.actor.do(context.Background(), "test", func(*core.Session) {})
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(e.actor.cmds) == 0 {
+	for e.actor.queueGauge().Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("filler command never queued")
 		}

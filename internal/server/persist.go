@@ -35,14 +35,14 @@ func (s *Store) snapshotPath(e *entry) string {
 	return filepath.Join(s.dir, base)
 }
 
-// Snapshot encodes the session's current state on its actor goroutine and
-// returns the bytes plus the mutation sequence they capture (the replica
-// watermark); with persistence enabled the same bytes are also written
-// through the checkpoint path, so an explicit export doubles as a durable
-// checkpoint. The write is best-effort: a failing disk must not block the
-// export — taking sessions off a sick node is exactly what the endpoint is
-// for — so persist errors are logged and counted, and the periodic flusher
-// keeps retrying.
+// Snapshot encodes the session's current state in a command holding its
+// turn and returns the bytes plus the mutation sequence they capture (the
+// replica watermark); with persistence enabled the same bytes are also
+// written through the checkpoint path, so an explicit export doubles as a
+// durable checkpoint. The write is best-effort: a failing disk must not
+// block the export — taking sessions off a sick node is exactly what the
+// endpoint is for — so persist errors are logged and counted, and the
+// periodic flusher keeps retrying.
 func (s *Store) Snapshot(ctx context.Context, e *entry) ([]byte, uint64, error) {
 	// The lease pins the session against TTL eviction for the whole export:
 	// the cluster proxy calls this to move a session, and the janitor
@@ -70,8 +70,8 @@ func (s *Store) Snapshot(ctx context.Context, e *entry) ([]byte, uint64, error) 
 	return data, mut, nil
 }
 
-// Checkpoint makes the session durable: encode on the actor, write to a
-// temp file, fsync, rename. A no-op without a data directory. Concurrent
+// Checkpoint makes the session durable: encode as a session command, write
+// to a temp file, fsync, rename. A no-op without a data directory. Concurrent
 // checkpoints of one session are safe — snapshots are sequence-stamped in
 // session-mutation order and a stale one never overwrites a newer file. A
 // failure leaves the entry dirty (the flusher retries with backoff) but
@@ -80,8 +80,8 @@ func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 	if s.dir == "" {
 		return nil
 	}
-	// The whole checkpoint is one "persist" span; the encode rides the actor
-	// queue with this span as its parent, so its queue/slot/exec spans nest
+	// The whole checkpoint is one "persist" span; the encode command runs
+	// with this span as its parent, so its queue/slot/exec spans nest
 	// under persist instead of reading as a second request.
 	t := obs.FromContext(ctx)
 	h := t.StartSpan("persist")
@@ -102,10 +102,10 @@ func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 	return nil
 }
 
-// encode runs the snapshot encoder on the session's actor and records
-// which mutation sequence the captured state corresponds to. The watermark
-// and the dedup window ride inside the snapshot (format v2 meta): both are
-// read on the actor, so the encoded triple is always mutually consistent.
+// encode runs the snapshot encoder as a session command and records which
+// mutation sequence the captured state corresponds to. The watermark and
+// the dedup window ride inside the snapshot (format v2 meta): both are read
+// in that command, so the encoded triple is always mutually consistent.
 func (s *Store) encode(ctx context.Context, e *entry) (data []byte, mut uint64, err error) {
 	var encErr error
 	doErr := e.actor.do(ctx, "encode", func(sess *core.Session) {

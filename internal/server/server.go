@@ -2,9 +2,10 @@
 // serving tier the paper's interactive Figure 2 loop needs to face real
 // users. A Server owns a session store (create-from-CSV-upload, token
 // lookup, TTL eviction, capped live count); each core.Session, single-writer
-// by design, sits behind an actor goroutine that executes queued commands,
-// so concurrent HTTP traffic is safe with no locks on the repair hot paths,
-// and CPU across all sessions is budgeted by the Workers knob.
+// by design, runs one command at a time, each on its caller's goroutine
+// under the session's first-come-first-served turn, so concurrent HTTP
+// traffic is safe with no locks on the repair hot paths, and CPU across all
+// sessions is budgeted by the Workers knob.
 //
 // Endpoints (see the README's "Serving repairs" section for a walkthrough):
 //
@@ -134,16 +135,17 @@ type Config struct {
 	// auth, one implicit unlimited tenant).
 	Tenants []TenantConfig
 	// RequestTimeout bounds each request end to end; the deadline rides the
-	// request context through the actor queue, so a command that waited past
-	// it is dropped (503 + Retry-After) before it spends CPU slots. 0
-	// disables the server-side deadline.
+	// request context while a command waits for its session's turn and CPU
+	// slots, so a command that waited past it is dropped (503 + Retry-After)
+	// before it spends CPU slots. 0 disables the server-side deadline.
 	RequestTimeout time.Duration
-	// QueueDepth bounds each session actor's command queue (default 64);
-	// commands beyond it are shed with 503 + Retry-After instead of queued.
+	// QueueDepth bounds how many commands may wait for a session's turn
+	// while one runs (default 64); commands beyond it are shed with 503 +
+	// Retry-After instead of queued.
 	QueueDepth int
 	// Faults, when set, injects failures/delays at named points (checkpoint
-	// write/fsync/rename, actor execution) for tests and gdrd's -chaos dev
-	// mode. nil = no injection.
+	// write/fsync/rename, session command execution) for tests and gdrd's
+	// -chaos dev mode. nil = no injection.
 	Faults *faultfs.Injector
 	// ClusterMode marks this node as a member of a proxied cluster: the
 	// X-GDR-Assign-Token and X-GDR-Assign-Tenant create headers are honored
@@ -600,8 +602,9 @@ func (s *Server) admit(next http.Handler) http.Handler {
 }
 
 // withDeadline bounds each admitted request with Config.RequestTimeout. The
-// deadline travels in the request context through the actor queue, so work
-// whose budget was spent waiting is dropped before it costs CPU.
+// deadline travels in the request context while a command waits for its
+// session's turn, so work whose budget was spent waiting is dropped before
+// it costs CPU.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	if s.cfg.RequestTimeout <= 0 {
 		return next
@@ -645,7 +648,7 @@ func errQueueFull() error {
 
 // errExpiredQueued is the single deterministic mapping for "the request
 // context expired while the command waited its turn" — whether it was still
-// in the actor queue, waiting for CPU slots, or abandoned by the handler.
+// waiting for the session's turn or for CPU slots.
 // It is a 503: the server was too slow to reach the command in time, and
 // the client should retry after backoff.
 func errExpiredQueued() error {
