@@ -43,10 +43,6 @@
 // a live daemon can be profiled (CPU, heap, goroutines) without exposing
 // the endpoints to tenants.
 //
-// -chaos injects faults for development and soak testing (checkpoint
-// write/fsync/rename failures, slow session commands); it is loud on
-// startup and must never be set in production.
-//
 // The daemon drains gracefully on SIGINT/SIGTERM: in-flight requests and
 // session commands finish, checkpoints flush, then the process exits.
 package main
@@ -66,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"gdr/internal/faultfs"
 	"gdr/internal/obs"
 	"gdr/internal/server"
 )
@@ -85,8 +80,6 @@ type options struct {
 	keyfile     string
 	deadline    time.Duration
 	queueDepth  int
-	chaos       string
-	chaosSeed   int64
 	logFormat   string
 	logLevel    string
 	slowReq     time.Duration
@@ -107,8 +100,6 @@ func main() {
 	flag.StringVar(&opts.keyfile, "keyfile", "", "tenant keyfile enabling auth + per-tenant quotas (empty = open mode)")
 	flag.DurationVar(&opts.deadline, "deadline", time.Minute, "per-request deadline; a command still waiting for its session's turn or CPU slots when it expires is shed with 503 (0 = none)")
 	flag.IntVar(&opts.queueDepth, "queue-depth", 64, "per-session command queue bound; the excess is shed with 503")
-	flag.StringVar(&opts.chaos, "chaos", "", "DEV ONLY: fault-injection spec, e.g. write=0.3,sync=0.2,rename=0.1,actor=1:25ms")
-	flag.Int64Var(&opts.chaosSeed, "chaos-seed", 1, "seed for -chaos fault rolls (reproducible runs)")
 	flag.StringVar(&opts.logFormat, "log-format", "text", "log output format: text|json")
 	flag.StringVar(&opts.logLevel, "log-level", "info", "minimum log level: debug|info|warn|error")
 	flag.DurationVar(&opts.slowReq, "slow-request", time.Second, "log requests at least this slow at warn level (0 = disabled)")
@@ -159,13 +150,6 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 			return fmt.Errorf("keyfile: %w", err)
 		}
 	}
-	var faults *faultfs.Injector
-	if opts.chaos != "" {
-		if faults, err = faultfs.ParseSpec(opts.chaos, opts.chaosSeed); err != nil {
-			return err
-		}
-		logger.Warn(fmt.Sprintf("gdrd: *** CHAOS MODE: injecting faults (%s, seed %d) — never run production like this ***", opts.chaos, opts.chaosSeed))
-	}
 	srv := server.New(server.Config{
 		MaxSessions:     opts.maxSessions,
 		TTL:             opts.ttl,
@@ -176,7 +160,6 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 		Tenants:         tenants,
 		RequestTimeout:  opts.deadline,
 		QueueDepth:      opts.queueDepth,
-		Faults:          faults,
 		SlowRequest:     opts.slowReq,
 		ClusterMode:     opts.cluster,
 	})

@@ -12,13 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"gdr"
 	"gdr/internal/faultfs"
 	"gdr/internal/server"
 )
 
 // TestChaosSoak is the overload acceptance run: a multi-tenant server with
 // intermittent checkpoint fsync failures and slow actors serves two
-// well-behaved tenants at full benchmark load while a third tenant hammers
+// well-behaved tenants under full gdrload runs while a third tenant hammers
 // it far past its rate quota. Well-behaved tenants must finish with zero
 // real 5xx responses and bounded p99 latency; the abuser must be shed with
 // 429 + Retry-After; the injected disk faults must be visible in metrics;
@@ -55,10 +56,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// A durable session driven through the soak — the subject of the
 	// post-recovery byte-identity check.
-	d, err := workload(1, n, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := gdr.HospitalData(gdr.DataConfig{N: n, Seed: 5})
 	var csvBuf bytes.Buffer
 	if err := d.Dirty.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
@@ -119,7 +117,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}()
 
-	// The well-behaved tenants: full gdrload benchmark runs, concurrently,
+	// The well-behaved tenants: full gdrload runs, concurrently,
 	// plus the durable session's own user. run() fails on any unexpected
 	// status, so a clean return already means no unhandled 5xx.
 	reports := make([]Report, 2)
@@ -132,7 +130,7 @@ func TestChaosSoak(t *testing.T) {
 			var out bytes.Buffer
 			if err := run(runConfig{
 				addr: addr, key: key, sessions: 1, users: users, rounds: rounds,
-				n: n, ds: 1, seed: 31 + int64(i), workers: 4,
+				n: n, seed: 31 + int64(i),
 			}, &out); err != nil {
 				errs[i] = fmt.Errorf("tenant %d load run: %w", i, err)
 				return
@@ -145,7 +143,7 @@ func TestChaosSoak(t *testing.T) {
 		defer workWG.Done()
 		lats := &latRecorder{byOp: make(map[string][]float64)}
 		var cnt counters
-		errs[2] = drive(lc, addr, durableID, d.Truth, 0, rounds, false, false, lats, &cnt)
+		errs[2] = drive(lc, addr, durableID, d.Truth, 0, rounds, false, lats, &cnt)
 	}()
 	workWG.Wait()
 	close(stop)

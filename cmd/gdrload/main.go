@@ -1,16 +1,17 @@
-// Command gdrload replays oracle-simulated users against a gdrd server and
-// reports end-to-end feedback-round throughput and latency percentiles —
-// the multi-session benchmark behind BENCH_3.json.
+// Command gdrload drives oracle-simulated users against a gdrd server, or
+// an in-process cluster, and checks that the repair loop survives it: the
+// smoke and failover driver of the serving tier. It is not the benchmark;
+// perfbench is (see BENCHMARK.json).
 //
-// It generates one synthetic workload per session (distinct seeds), uploads
+// It generates one hospital workload per session (distinct seeds), uploads
 // the dirty instances, then spins N concurrent users across the M sessions;
 // each user runs the Procedure-1 loop — ranked groups, one group's updates,
 // a batched feedback round answered from the generator's ground truth —
 // until the session is clean or its round budget runs out. The report is a
-// single JSON document on stdout.
+// single JSON document on stdout: rounds driven, sheds and retries, the
+// client-observed latency per operation and each session's end state.
 //
 //	gdrload -addr http://localhost:8080 -sessions 4 -users 8 -n 400
-//	gdrload -selfhost -sessions 4 -users 8     # in-process server, loopback HTTP
 //	gdrload -proxy 3 -kill -sessions 4 -users 8  # in-process 3-node cluster
 //
 // -proxy N boots an in-process cluster — N cluster-mode gdrd nodes with
@@ -36,10 +37,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,43 +50,35 @@ import (
 	"gdr/internal/server"
 )
 
-// runConfig carries the benchmark knobs from flags (or tests) into run.
+// runConfig carries the drive's knobs from flags (or tests) into run.
 type runConfig struct {
-	addr     string // base URL of an external gdrd ("" with selfhost/proxyN)
+	addr     string // base URL of an external gdrd ("" with proxyN)
 	key      string // bearer API key ("" = no auth)
-	selfhost bool   // boot one in-process server
 	proxyN   int    // boot an in-process N-node cluster behind a proxy
 	kill     bool   // with proxyN: crash one node mid-drive
 	sessions int
 	users    int
 	rounds   int
 	n        int
-	ds       int
 	seed     int64
-	workers  int
-	sweep    bool
 	dup      bool // re-POST every feedback round with its same request id
 }
 
 func main() {
 	var cfg runConfig
 	flag.StringVar(&cfg.addr, "addr", "", "base URL of a running gdrd (e.g. http://localhost:8080)")
-	flag.BoolVar(&cfg.selfhost, "selfhost", false, "boot an in-process server on a loopback port instead of -addr")
 	flag.IntVar(&cfg.proxyN, "proxy", 0, "boot an in-process N-node cluster behind a gdrproxy ring and drive through the gateway")
 	flag.BoolVar(&cfg.kill, "kill", false, "with -proxy: abruptly kill one node mid-drive; failover must finish the run")
 	flag.IntVar(&cfg.sessions, "sessions", 4, "concurrent repair sessions (tenants)")
 	flag.IntVar(&cfg.users, "users", 8, "concurrent simulated users, round-robin across sessions")
 	flag.IntVar(&cfg.rounds, "rounds", 50, "max feedback rounds per user")
 	flag.IntVar(&cfg.n, "n", 400, "records per uploaded instance")
-	flag.IntVar(&cfg.ds, "dataset", 1, "workload generator: 1 = hospital, 2 = census")
 	flag.Int64Var(&cfg.seed, "seed", 7, "base seed; session i uploads seed+i")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "server worker budget (selfhost and proxy modes)")
-	flag.BoolVar(&cfg.sweep, "sweep", false, "ask for a learner sweep with every feedback round")
 	flag.BoolVar(&cfg.dup, "dup", false, "re-POST every feedback round with its same request id; the duplicate must replay, never re-apply")
 	flag.StringVar(&cfg.key, "key", "", "bearer API key for an authenticated gdrd (-keyfile mode)")
 	flag.Parse()
-	if cfg.addr == "" && !cfg.selfhost && cfg.proxyN == 0 {
-		fmt.Fprintln(os.Stderr, "gdrload: need -addr, -selfhost or -proxy")
+	if cfg.addr == "" && cfg.proxyN == 0 {
+		fmt.Fprintln(os.Stderr, "gdrload: need -addr or -proxy")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -97,32 +88,18 @@ func main() {
 	}
 }
 
-// Report is the benchmark output document.
+// Report is the drive's output document.
 type Report struct {
-	Config      ReportConfig `json:"config"`
-	Setup       SetupStats   `json:"setup"`
-	WallSeconds float64      `json:"wall_seconds"`
-	Rounds      int          `json:"feedback_rounds"`
-	Items       int          `json:"feedback_items"`
-	Applied     int          `json:"feedback_applied"`
-	Stale       int          `json:"feedback_stale"`
-	Learner     int          `json:"learner_decisions"`
-	Groups304   int          `json:"groups_not_modified"`
-	Sheds429    int          `json:"sheds_429"`
-	Sheds503    int          `json:"sheds_503"`
-	Retries     int          `json:"retries"`
+	Rounds   int `json:"feedback_rounds"`
+	Sheds429 int `json:"sheds_429"`
+	Sheds503 int `json:"sheds_503"`
+	Retries  int `json:"retries"`
 	// DupReplays counts feedback responses the server answered from its
 	// dedup window (X-Gdr-Duplicate) — forced -dup re-POSTs plus any
 	// organic retry that would otherwise have double-applied a round.
 	DupReplays int                `json:"duplicate_replays"`
-	Throughput ThroughputStats    `json:"throughput"`
 	Latency    map[string]LatSumm `json:"latency_seconds"`
-	// ServerStages is the server-side stage breakdown (admit, queue, slot,
-	// exec, persist), sourced from the Server-Timing header of every
-	// response — where each request actually spent its time inside gdrd, as
-	// opposed to the client-observed Latency above.
-	ServerStages map[string]LatSumm `json:"server_stage_seconds"`
-	Sessions     []SessionOutcome   `json:"sessions"`
+	Sessions   []SessionOutcome   `json:"sessions"`
 	// Cluster is the per-node distribution, present only in -proxy mode.
 	Cluster *ClusterReport `json:"cluster,omitempty"`
 }
@@ -146,31 +123,6 @@ type NodeLoad struct {
 	Live     bool   `json:"live"`
 	Requests int64  `json:"requests"`
 	Sessions int    `json:"sessions_owned"`
-}
-
-// ReportConfig echoes the knobs that shaped the run.
-type ReportConfig struct {
-	Target   string `json:"target"`
-	Sessions int    `json:"sessions"`
-	Users    int    `json:"users"`
-	Rounds   int    `json:"max_rounds_per_user"`
-	N        int    `json:"records_per_session"`
-	Dataset  int    `json:"dataset"`
-	Seed     int64  `json:"seed"`
-	Workers  int    `json:"workers"`
-	Sweep    bool   `json:"sweep"`
-}
-
-// SetupStats covers the upload phase (not counted in the drive wall time).
-type SetupStats struct {
-	Seconds        float64 `json:"seconds"`
-	SessionsOpened int     `json:"sessions_opened"`
-}
-
-// ThroughputStats are the headline rates.
-type ThroughputStats struct {
-	ItemsPerSec  float64 `json:"feedback_items_per_sec"`
-	RoundsPerSec float64 `json:"feedback_rounds_per_sec"`
 }
 
 // LatSumm summarizes one operation's latency distribution.
@@ -233,51 +185,29 @@ func (l *latRecorder) summarize() map[string]LatSumm {
 
 // counters are the shared run totals.
 type counters struct {
-	mu        sync.Mutex
-	rounds    int
-	items     int
-	applied   int
-	stale     int
-	learner   int
-	groups304 int
-	dups      int
+	mu     sync.Mutex
+	rounds int
+	dups   int
 }
 
 func run(cfg runConfig, out io.Writer) error {
 	addr, key := cfg.addr, cfg.key
 	sessions, users, rounds := cfg.sessions, cfg.users, cfg.rounds
-	n, ds, seed, workers, sweep := cfg.n, cfg.ds, cfg.seed, cfg.workers, cfg.sweep
+	n, seed := cfg.n, cfg.seed
 	if sessions < 1 || users < 1 {
 		return fmt.Errorf("need at least one session and one user")
-	}
-	if cfg.selfhost && cfg.proxyN > 0 {
-		return fmt.Errorf("pick one of -selfhost and -proxy")
 	}
 	if cfg.kill && cfg.proxyN < 2 {
 		return fmt.Errorf("-kill needs -proxy with at least 2 nodes")
 	}
 	var rig *inproc.Cluster
-	switch {
-	case cfg.proxyN > 0:
-		// The nodes share the load generator's worker budget (at least 1
-		// each).
+	if cfg.proxyN > 0 {
 		var err error
-		if rig, err = inproc.Start(inproc.Options{N: cfg.proxyN, Workers: max(workers/cfg.proxyN, 1)}); err != nil {
+		if rig, err = inproc.Start(inproc.Options{N: cfg.proxyN}); err != nil {
 			return err
 		}
 		defer rig.Close()
 		addr = rig.Gateway
-	case cfg.selfhost:
-		srv := server.New(server.Config{Workers: workers, MaxSessions: sessions + 1})
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		defer hs.Close()
-		addr = "http://" + ln.Addr().String()
 	}
 	addr = strings.TrimRight(addr, "/")
 	lc := newLoadClient(&http.Client{Timeout: 2 * time.Minute}, key, seed)
@@ -286,7 +216,6 @@ func run(cfg runConfig, out io.Writer) error {
 	// out concurrently — the server builds sessions in parallel up to its
 	// worker budget, so serial creates would leave it idle and stretch
 	// setup linearly with -sessions.
-	setupStart := time.Now()
 	type tenant struct {
 		id    string
 		truth *gdr.DB
@@ -298,11 +227,7 @@ func run(cfg runConfig, out io.Writer) error {
 		setupWG.Add(1)
 		go func(i int) {
 			defer setupWG.Done()
-			d, err := workload(ds, n, seed+int64(i))
-			if err != nil {
-				setupErrs[i] = err
-				return
-			}
+			d := gdr.HospitalData(gdr.DataConfig{N: n, Seed: seed + int64(i)})
 			var csvBuf bytes.Buffer
 			if err := d.Dirty.WriteCSV(&csvBuf); err != nil {
 				setupErrs[i] = err
@@ -336,14 +261,12 @@ func run(cfg runConfig, out io.Writer) error {
 			return err
 		}
 	}
-	setup := SetupStats{Seconds: time.Since(setupStart).Seconds(), SessionsOpened: sessions}
 
 	// Drive phase: users fan out round-robin across sessions.
 	lats := &latRecorder{byOp: make(map[string][]float64)}
 	var cnt counters
 	var wg sync.WaitGroup
 	errc := make(chan error, users)
-	driveStart := time.Now()
 	driveDone := make(chan struct{})
 	killDone := make(chan struct{})
 	for u := 0; u < users; u++ {
@@ -351,7 +274,7 @@ func run(cfg runConfig, out io.Writer) error {
 		go func(u int) {
 			defer wg.Done()
 			tn := tenants[u%sessions]
-			if err := drive(lc, addr, tn.id, tn.truth, u, rounds, sweep, cfg.dup, lats, &cnt); err != nil {
+			if err := drive(lc, addr, tn.id, tn.truth, u, rounds, cfg.dup, lats, &cnt); err != nil {
 				errc <- fmt.Errorf("user %d: %w", u, err)
 			}
 		}(u)
@@ -369,7 +292,6 @@ func run(cfg runConfig, out io.Writer) error {
 	}
 	wg.Wait()
 	close(driveDone)
-	wall := time.Since(driveStart).Seconds()
 	<-killDone
 	close(errc)
 	for err := range errc {
@@ -410,30 +332,14 @@ func run(cfg runConfig, out io.Writer) error {
 
 	sheds429, sheds503, retries := lc.counts()
 	rep := Report{
-		Config: ReportConfig{
-			Target: addr, Sessions: sessions, Users: users, Rounds: rounds,
-			N: n, Dataset: ds, Seed: seed, Workers: workers, Sweep: sweep,
-		},
-		Setup:       setup,
-		WallSeconds: wall,
-		Rounds:      cnt.rounds,
-		Items:       cnt.items,
-		Applied:     cnt.applied,
-		Stale:       cnt.stale,
-		Learner:     cnt.learner,
-		Groups304:   cnt.groups304,
-		Sheds429:    sheds429,
-		Sheds503:    sheds503,
-		Retries:     retries,
-		DupReplays:  cnt.dups,
-		Throughput: ThroughputStats{
-			ItemsPerSec:  float64(cnt.items) / wall,
-			RoundsPerSec: float64(cnt.rounds) / wall,
-		},
-		Latency:      lats.summarize(),
-		ServerStages: lc.stages.summarize(),
-		Sessions:     outcomes,
-		Cluster:      clusterRep,
+		Rounds:     cnt.rounds,
+		Sheds429:   sheds429,
+		Sheds503:   sheds503,
+		Retries:    retries,
+		DupReplays: cnt.dups,
+		Latency:    lats.summarize(),
+		Sessions:   outcomes,
+		Cluster:    clusterRep,
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
@@ -442,7 +348,7 @@ func run(cfg runConfig, out io.Writer) error {
 
 // drive is one simulated user: the interactive loop of Procedure 1 against
 // one served session, answers from the ground truth.
-func drive(lc *loadClient, addr, id string, truth *gdr.DB, u, rounds int, sweep, dup bool, lats *latRecorder, cnt *counters) error {
+func drive(lc *loadClient, addr, id string, truth *gdr.DB, u, rounds int, dup bool, lats *latRecorder, cnt *counters) error {
 	base := addr + "/v1/sessions/" + id
 	// Conditional polling state: the last groups listing and its validator.
 	// The server answers an unchanged ranking with a bodyless 304, so a user
@@ -456,10 +362,7 @@ func drive(lc *loadClient, addr, id string, truth *gdr.DB, u, rounds int, sweep,
 		switch {
 		case err != nil:
 			return fmt.Errorf("groups: %v", err)
-		case code == http.StatusNotModified:
-			cnt.mu.Lock()
-			cnt.groups304++
-			cnt.mu.Unlock()
+		case code == http.StatusNotModified: // groups still holds the listing
 		case code == 200:
 			groupsTag = tag
 		default:
@@ -501,7 +404,7 @@ func drive(lc *loadClient, addr, id string, truth *gdr.DB, u, rounds int, sweep,
 		// forced -dup replay): a round shed mid-flight and retried must be
 		// applied exactly once, whichever attempt actually landed.
 		reqID := fmt.Sprintf("gdrload-%s-%d-%d", id, u, r)
-		body := server.FeedbackRequest{Items: items, Sweep: sweep}
+		body := server.FeedbackRequest{Items: items}
 		start = time.Now()
 		var fb server.FeedbackResponse
 		code, wasDup, err := lc.doJSONID("POST", base+"/feedback", body, &fb, reqID)
@@ -528,37 +431,12 @@ func drive(lc *loadClient, addr, id string, truth *gdr.DB, u, rounds int, sweep,
 			replays++
 		}
 
-		applied, stale := 0, 0
-		for _, res := range fb.Results {
-			switch res.Status {
-			case server.FeedbackApplied:
-				applied++
-			case server.FeedbackStale:
-				stale++
-			}
-		}
 		cnt.mu.Lock()
 		cnt.rounds++
-		cnt.items += len(items)
-		cnt.applied += applied
-		cnt.stale += stale
-		cnt.learner += len(fb.LearnerDecisions)
 		cnt.dups += replays
 		cnt.mu.Unlock()
 	}
 	return nil
-}
-
-func workload(ds, n int, seed int64) (*gdr.Data, error) {
-	cfg := gdr.DataConfig{N: n, Seed: seed}
-	switch ds {
-	case 1:
-		return gdr.HospitalData(cfg), nil
-	case 2:
-		return gdr.CensusData(cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %d (want 1 or 2)", ds)
-	}
 }
 
 // killWhenBusy crashes the node owning the probe session once the drive
@@ -634,10 +512,6 @@ type loadClient struct {
 	hc  *http.Client
 	key string // bearer API key ("" = no auth header)
 
-	// stages accumulates the per-stage server-side durations parsed from
-	// every response's Server-Timing header.
-	stages *latRecorder
-
 	mu       sync.Mutex
 	rng      *rand.Rand
 	sheds429 int
@@ -647,49 +521,9 @@ type loadClient struct {
 
 func newLoadClient(hc *http.Client, key string, seed int64) *loadClient {
 	return &loadClient{
-		hc:     hc,
-		key:    key,
-		stages: &latRecorder{byOp: make(map[string][]float64)},
-		rng:    rand.New(rand.NewSource(seed)),
-	}
-}
-
-// parseServerTiming extracts the stage durations from a Server-Timing
-// header value ("queue;dur=0.312, exec;dur=4.821" — durations in
-// milliseconds per the spec) as stage → seconds. Entries without a dur
-// parameter, and anything malformed, are skipped.
-func parseServerTiming(h string) map[string]float64 {
-	if h == "" {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, entry := range strings.Split(h, ",") {
-		parts := strings.Split(strings.TrimSpace(entry), ";")
-		if parts[0] == "" {
-			continue
-		}
-		for _, p := range parts[1:] {
-			k, v, ok := strings.Cut(strings.TrimSpace(p), "=")
-			if !ok || k != "dur" {
-				continue
-			}
-			ms, err := strconv.ParseFloat(strings.Trim(v, `"`), 64)
-			if err != nil {
-				continue
-			}
-			out[parts[0]] = ms / 1e3
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// recordServerTiming files one response's stage breakdown.
-func (c *loadClient) recordServerTiming(h string) {
-	for stage, secs := range parseServerTiming(h) {
-		c.stages.observe(stage, time.Duration(secs*float64(time.Second)))
+		hc:  hc,
+		key: key,
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -764,7 +598,6 @@ func (c *loadClient) do(newReq func() (*http.Request, error)) (*http.Response, [
 				continue
 			}
 		}
-		c.recordServerTiming(resp.Header.Get("Server-Timing"))
 		return resp, data, nil
 	}
 }

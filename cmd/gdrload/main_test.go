@@ -7,46 +7,6 @@ import (
 	"time"
 )
 
-// TestSelfHostedLoadRun boots an in-process server and replays a small
-// multi-session load against it — the CI bench-smoke path.
-func TestSelfHostedLoadRun(t *testing.T) {
-	var out bytes.Buffer
-	err := run(runConfig{
-		selfhost: true, sessions: 3, users: 6, rounds: 6,
-		n: 120, ds: 1, seed: 42, workers: 2, sweep: true,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Config.Sessions != 3 || rep.Setup.SessionsOpened != 3 {
-		t.Fatalf("sessions: %+v", rep)
-	}
-	if rep.Rounds == 0 || rep.Items == 0 || rep.Applied == 0 {
-		t.Fatalf("no load driven: %+v", rep)
-	}
-	if rep.Throughput.ItemsPerSec <= 0 {
-		t.Fatalf("throughput: %+v", rep.Throughput)
-	}
-	for _, op := range []string{"groups", "updates", "feedback"} {
-		s, ok := rep.Latency[op]
-		if !ok || s.Count == 0 || s.P50 <= 0 || s.P99 < s.P50 {
-			t.Fatalf("latency summary for %s: %+v", op, s)
-		}
-	}
-	if len(rep.Sessions) != 3 {
-		t.Fatalf("outcomes: %+v", rep.Sessions)
-	}
-	for _, o := range rep.Sessions {
-		if o.Applied == 0 {
-			t.Fatalf("session %d made no progress: %+v", o.Index, o)
-		}
-	}
-}
-
 // TestProxyClusterLoadRun is the acceptance drive for -proxy mode: a
 // 3-node in-process cluster with one node abruptly killed mid-run. Every
 // tenant must still finish 100% repaired (no session lost to the crash),
@@ -55,7 +15,7 @@ func TestProxyClusterLoadRun(t *testing.T) {
 	var out bytes.Buffer
 	err := run(runConfig{
 		proxyN: 3, kill: true, sessions: 4, users: 8, rounds: 200,
-		n: 120, ds: 1, seed: 42, workers: 4, sweep: true,
+		n: 120, seed: 42,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -112,16 +72,10 @@ func TestProxyClusterLoadRun(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(runConfig{selfhost: true, users: 1, rounds: 1, n: 50, ds: 1, seed: 1, workers: 1}, &out); err == nil {
+	if err := run(runConfig{proxyN: 2, users: 1, rounds: 1, n: 50, seed: 1}, &out); err == nil {
 		t.Fatal("zero sessions accepted")
 	}
-	if err := run(runConfig{selfhost: true, sessions: 1, users: 1, rounds: 1, n: 50, ds: 3, seed: 1, workers: 1}, &out); err == nil {
-		t.Fatal("unknown dataset accepted")
-	}
-	if err := run(runConfig{selfhost: true, proxyN: 2, sessions: 1, users: 1, rounds: 1, n: 50, ds: 1, seed: 1, workers: 1}, &out); err == nil {
-		t.Fatal("-selfhost together with -proxy accepted")
-	}
-	if err := run(runConfig{proxyN: 1, kill: true, sessions: 1, users: 1, rounds: 1, n: 50, ds: 1, seed: 1, workers: 1}, &out); err == nil {
+	if err := run(runConfig{proxyN: 1, kill: true, sessions: 1, users: 1, rounds: 1, n: 50, seed: 1}, &out); err == nil {
 		t.Fatal("-kill with a single-node cluster accepted")
 	}
 }
@@ -169,47 +123,5 @@ func TestParseRetryAfter(t *testing.T) {
 		if got := parseRetryAfter(h); got != want {
 			t.Errorf("parseRetryAfter(%q) = %s, want %s", h, got, want)
 		}
-	}
-}
-
-func TestParseServerTiming(t *testing.T) {
-	got := parseServerTiming(`admit;dur=0.120, queue;dur=3.5;desc="actor queue", exec;dur="12.25"`)
-	want := map[string]float64{"admit": 0.000120, "queue": 0.0035, "exec": 0.01225}
-	if len(got) != len(want) {
-		t.Fatalf("parsed %v, want %v", got, want)
-	}
-	for stage, secs := range want {
-		if d := got[stage] - secs; d > 1e-12 || d < -1e-12 {
-			t.Errorf("%s = %v, want %v", stage, got[stage], secs)
-		}
-	}
-	for name, h := range map[string]string{
-		"empty":       "",
-		"no dur":      `cache;desc="hit", cpu`,
-		"garbage dur": "db;dur=fast",
-		"only commas": ", ,",
-	} {
-		if got := parseServerTiming(h); got != nil {
-			t.Errorf("%s: parseServerTiming(%q) = %v, want nil", name, h, got)
-		}
-	}
-	// A malformed entry must not poison the valid ones around it.
-	got = parseServerTiming("bad;dur=x, good;dur=1000")
-	if len(got) != 1 || got["good"] != 1.0 {
-		t.Errorf("mixed header parsed to %v", got)
-	}
-}
-
-func TestRecordServerTiming(t *testing.T) {
-	lc := newLoadClient(nil, "", 1)
-	lc.recordServerTiming("queue;dur=2.0, exec;dur=8.0")
-	lc.recordServerTiming("queue;dur=4.0")
-	lc.recordServerTiming("") // no header: nothing recorded
-	summ := lc.stages.summarize()
-	if q, ok := summ["queue"]; !ok || q.Count != 2 {
-		t.Fatalf("queue summary = %+v", summ)
-	}
-	if e, ok := summ["exec"]; !ok || e.Count != 1 {
-		t.Fatalf("exec summary = %+v", summ)
 	}
 }

@@ -47,8 +47,10 @@ import (
 //  2. Within the lineage, the freshest watermark wins. Moves and
 //     promotions copy state forward and only the routed copy is mutated,
 //     so any other duplicate is ordered by watermark, and equal watermarks
-//     mean the same state (see settle). Only a full inventory is settled:
-//     the copy a failed listing hides may be the freshest.
+//     mean equivalent state (see settle): a VOI poll may regrow a stale
+//     committee without a mutation, and every copy regrows it identically
+//     on its next prediction. Only a full inventory is settled: the copy a
+//     failed listing hides may be the freshest.
 
 // migrateTimeout bounds one session move end to end.
 const migrateTimeout = 30 * time.Second

@@ -1,18 +1,16 @@
 // Package faultfs injects faults at named points in the serving stack —
 // checkpoint write/fsync/rename failures (disk full, sick disks), slow
-// session actors — for tests and gdrd's -chaos dev mode. An Injector is
-// seeded, so a failing chaos run reproduces exactly; call sites hold a
-// possibly-nil *Injector and consult it unconditionally (every method is
-// nil-receiver safe, and a nil injector never faults), which keeps the
-// production paths free of feature flags.
+// session commands — for tests. An Injector is seeded, so a failing chaos
+// test reproduces exactly; call sites hold a possibly-nil *Injector and
+// consult it unconditionally (every method is nil-receiver safe, and a nil
+// injector never faults), which keeps the production paths free of
+// feature flags.
 package faultfs
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -123,52 +121,4 @@ func (in *Injector) Hits(p Point) int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.hits[p]
-}
-
-// ParseSpec builds an injector from a gdrd -chaos flag value: a
-// comma-separated list of point=probability[:delay] entries, e.g.
-//
-//	write=0.3,sync=0.2,rename=0.1,actor=1:25ms
-//
-// write faults with ErrDiskFull, sync and rename with ErrInjected, actor
-// entries are delay-only (the delay defaults to 10ms when omitted).
-func ParseSpec(spec string, seed int64) (*Injector, error) {
-	in := New(seed)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("faultfs: entry %q: want point=probability[:delay]", part)
-		}
-		probStr, delayStr, hasDelay := strings.Cut(val, ":")
-		p, err := strconv.ParseFloat(probStr, 64)
-		if err != nil || p < 0 || p > 1 {
-			return nil, fmt.Errorf("faultfs: entry %q: probability must be in [0, 1]", part)
-		}
-		r := Rule{P: p}
-		if hasDelay {
-			d, err := time.ParseDuration(delayStr)
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("faultfs: entry %q: bad delay", part)
-			}
-			r.Delay = d
-		}
-		switch Point(name) {
-		case Write:
-			r.Err = ErrDiskFull
-		case Sync, Rename:
-			r.Err = ErrInjected
-		case Actor:
-			if r.Delay == 0 {
-				r.Delay = 10 * time.Millisecond
-			}
-		default:
-			return nil, fmt.Errorf("faultfs: unknown point %q (want write|sync|rename|actor)", name)
-		}
-		in.Set(Point(name), r)
-	}
-	return in, nil
 }

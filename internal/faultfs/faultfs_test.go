@@ -94,34 +94,3 @@ func TestClearHeals(t *testing.T) {
 		t.Fatalf("hits must survive Clear: %d", in.Hits(Write))
 	}
 }
-
-func TestParseSpec(t *testing.T) {
-	in, err := ParseSpec("write=0.3,sync=0.2,rename=0.1,actor=1:25ms", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Point{Write, Sync, Rename, Actor} {
-		in.mu.Lock()
-		_, ok := in.rules[p]
-		in.mu.Unlock()
-		if !ok {
-			t.Fatalf("point %s missing from parsed spec", p)
-		}
-	}
-	for _, bad := range []string{
-		"write",        // no probability
-		"write=2",      // out of range
-		"write=-0.1",   // out of range
-		"bogus=0.5",    // unknown point
-		"actor=1:-5ms", // negative delay
-		"actor=1:x",    // unparsable delay
-	} {
-		if _, err := ParseSpec(bad, 1); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-	// Empty spec is a no-op injector.
-	if in, err := ParseSpec("", 1); err != nil || in.Fault(Write) != nil {
-		t.Fatalf("empty spec: %v", err)
-	}
-}

@@ -72,10 +72,6 @@ type cellPos struct {
 	ai  int
 }
 
-// Similarity scores how close a suggested value is to the current one;
-// Eq. 7's normalized edit-distance similarity is the default.
-type Similarity func(current, suggested string) float64
-
 // simKey keys the similarity memo: attribute position plus the interned ids
 // of the current and suggested values. Hashing three integers replaces
 // hashing two strings on every candidate evaluation.
@@ -96,7 +92,6 @@ type simKey struct {
 type Generator struct {
 	eng     *cfd.Engine
 	db      *relation.DB
-	sim     Similarity
 	workers int
 
 	prevented map[cellPos]map[relation.VID]bool
@@ -125,16 +120,13 @@ func (g *Generator) simCached(ai int, a, b relation.VID) float64 {
 		return s
 	}
 	d := g.db.Dict(ai)
-	s := g.sim(d.Val(a), d.Val(b))
+	s := strsim.Similarity(d.Val(a), d.Val(b))
 	g.simMemo.Put(k, s)
 	return s
 }
 
 // Option configures a Generator.
 type Option func(*Generator)
-
-// WithSimilarity replaces the Eq. 7 evaluation function.
-func WithSimilarity(s Similarity) Option { return func(g *Generator) { g.sim = s } }
 
 // WithWorkers sets the fan-out of batch suggestion generation (SuggestAll
 // and SuggestBatch). Values below 2 select the serial path. Results are
@@ -146,7 +138,6 @@ func NewGenerator(eng *cfd.Engine, opts ...Option) *Generator {
 	g := &Generator{
 		eng:       eng,
 		db:        eng.DB(),
-		sim:       strsim.Similarity,
 		workers:   1,
 		prevented: make(map[cellPos]map[relation.VID]bool),
 		locked:    make(map[cellPos]bool),

@@ -66,8 +66,9 @@ type SessionInfo struct {
 	CreatedAt time.Time `json:"created_at"`
 	ExpiresAt time.Time `json:"expires_at"`
 	// MutSeq is the session's mutation-sequence watermark — how many
-	// mutating rounds it has absorbed. The cluster proxy compares it
-	// against replica watermarks to spot lagging replicas.
+	// mutations (feedback rounds and random-order polls) it has absorbed.
+	// The cluster proxy compares it against replica watermarks to spot
+	// lagging replicas.
 	MutSeq uint64 `json:"mut_seq,omitempty"`
 }
 

@@ -268,6 +268,12 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 	var notModified bool
 	err = e.actor.do(r.Context(), "groups", func(sess *core.Session) {
 		gs := sess.Groups(order, nil)
+		if order == core.OrderRandom {
+			// The shuffle advanced the session's shuffle count, which its
+			// snapshot carries: a mutation, so the entry turns dirty and
+			// the flusher or the drain captures it.
+			e.mutSeq.Add(1)
+		}
 		etag = groupsETag(e.etagSalt, orderName, limit, sess.RankingVersion())
 		if etagMatches(inm, etag) {
 			notModified = true

@@ -144,8 +144,8 @@ type Config struct {
 	// Retry-After instead of queued.
 	QueueDepth int
 	// Faults, when set, injects failures/delays at named points (checkpoint
-	// write/fsync/rename, session command execution) for tests and gdrd's
-	// -chaos dev mode. nil = no injection.
+	// write/fsync/rename, session command execution) for tests. nil = no
+	// injection.
 	Faults *faultfs.Injector
 	// ClusterMode marks this node as a member of a proxied cluster: the
 	// X-GDR-Assign-Token and X-GDR-Assign-Tenant create headers are honored

@@ -1,7 +1,8 @@
-// Package strsim provides the string distance and similarity functions GDR
-// uses to score candidate updates (the update evaluation function of Eq. 7 in
-// the paper) and to compute the relationship feature R(t[A], v) consumed by
-// the learning component.
+// Package strsim provides GDR's one update evaluation function, Eq. 7 of
+// the paper, and the Levenshtein distance under it. The candidate
+// generator scores every update with Similarity, and the learning
+// component reads that score back from the update as its relationship
+// feature R(t[A], v).
 //
 // All functions operate on UTF-8 strings at rune granularity and are safe for
 // concurrent use.
@@ -55,6 +56,9 @@ func Levenshtein(a, b string) int {
 //
 // It returns a value in [0, 1]; 1 means the strings are equal, 0 means they
 // share no structure at all. Two empty strings are defined to be identical.
+// It is the only evaluation function: the candidate generator scores every
+// update with it (repair.Update.Score), and that score is also the
+// learner's relationship feature.
 func Similarity(v, vp string) float64 {
 	if v == vp {
 		return 1
@@ -69,49 +73,6 @@ func Similarity(v, vp string) float64 {
 		return 1
 	}
 	return 1 - float64(Levenshtein(v, vp))/float64(m)
-}
-
-// QGramJaccard returns the Jaccard coefficient between the q-gram multisets
-// of a and b (treated as sets). It is an alternative domain similarity
-// function; GDR accepts any such function in place of Eq. 7.
-func QGramJaccard(a, b string, q int) float64 {
-	if q <= 0 {
-		q = 2
-	}
-	if a == b {
-		return 1
-	}
-	ga := qgrams(a, q)
-	gb := qgrams(b, q)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := 0
-	for g := range ga {
-		if gb[g] {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	return float64(inter) / float64(union)
-}
-
-func qgrams(s string, q int) map[string]bool {
-	rs := []rune(s)
-	out := make(map[string]bool)
-	if len(rs) < q {
-		if len(rs) > 0 {
-			out[string(rs)] = true
-		}
-		return out
-	}
-	for i := 0; i+q <= len(rs); i++ {
-		out[string(rs[i:i+q])] = true
-	}
-	return out
 }
 
 func min3(a, b, c int) int {

@@ -107,36 +107,6 @@ func TestLevenshteinProperties(t *testing.T) {
 	}
 }
 
-func TestQGramJaccard(t *testing.T) {
-	if got := QGramJaccard("abc", "abc", 2); got != 1 {
-		t.Errorf("identical strings: got %v", got)
-	}
-	if got := QGramJaccard("", "", 2); got != 1 {
-		t.Errorf("empty strings: got %v", got)
-	}
-	if got := QGramJaccard("abcd", "wxyz", 2); got != 0 {
-		t.Errorf("disjoint strings: got %v", got)
-	}
-	if got := QGramJaccard("night", "nacht", 0); got <= 0 || got >= 1 {
-		t.Errorf("partial overlap with default q: got %v", got)
-	}
-	// q larger than both strings falls back to whole-string grams.
-	if got := QGramJaccard("ab", "ab", 5); got != 1 {
-		t.Errorf("short strings: got %v", got)
-	}
-}
-
-func TestQGramJaccardSymmetry(t *testing.T) {
-	f := func(x, y uint32) bool {
-		rr := rand.New(rand.NewSource(int64(x) + int64(y)<<20))
-		a, b := randWord(rr), randWord(rr)
-		return QGramJaccard(a, b, 2) == QGramJaccard(b, a, 2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkLevenshtein(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Levenshtein("Michigan City", "Fort Wayne")

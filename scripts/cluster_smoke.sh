@@ -77,7 +77,7 @@ grep -qi '^x-gdr-duplicate:' "$workdir/dup-headers.txt"
 cmp "$workdir/feedback-first.json" "$workdir/feedback-dup.json"
 curl -fsS "$sess/status" | jq -e --argjson a "$applied_before" '.stats.applied == $a' >/dev/null
 
-echo "== gdrload bench-smoke through the gateway, forcing duplicates"
+echo "== gdrload through the gateway, forcing duplicates"
 "$workdir/gdrload" -addr "$proxy" -sessions 2 -users 2 -rounds 2 -n 120 -seed 7 -dup \
   >"$workdir/gdrload.json"
 jq -e '.feedback_rounds > 0 and (.sessions | length) == 2 and .duplicate_replays > 0' \

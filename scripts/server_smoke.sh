@@ -3,7 +3,7 @@
 # one full feedback round with curl (create → groups → updates → feedback →
 # status → export), check the observability surface (Server-Timing +
 # traceparent on responses, the span tree at /debug/traces, JSON log lines
-# carrying trace_ids), replay a small gdrload bench against the same daemon,
+# carrying trace_ids), drive a small gdrload run against the same daemon,
 # then restart the daemon mid-run and verify the session survived with a
 # byte-identical export, and finally check the SIGTERM drain exits cleanly.
 # Needs curl and jq.
@@ -62,6 +62,7 @@ fb=$(curl -fsS -D "$workdir/fb-headers.txt" -X POST -H 'Content-Type: applicatio
   -d "{\"items\": $items, \"sweep\": true}" "$sess/feedback")
 jq -e '.applied_delta >= 1' >/dev/null <<<"$fb"
 grep -qi '^server-timing:.*exec;dur=' "$workdir/fb-headers.txt"
+grep -qi '^server-timing:.*queue;dur=' "$workdir/fb-headers.txt"
 grep -qi '^traceparent: 00-' "$workdir/fb-headers.txt"
 
 echo "== status reflects the round"
@@ -85,11 +86,10 @@ echo "== metrics expose the traffic"
 curl -fsS "$base/metrics" -o "$workdir/metrics.txt"
 grep -q '^gdrd_sessions_live 1' "$workdir/metrics.txt"
 
-echo "== gdrload bench-smoke against the live daemon (incl. server-side stage breakdown)"
+echo "== gdrload against the live daemon: every session makes repair progress"
 "$workdir/gdrload" -addr "$base" -sessions 4 -users 4 -rounds 4 -n 150 -seed 11 \
   >"$workdir/gdrload.json"
-jq -e '.feedback_rounds > 0 and (.sessions | length) == 4' >/dev/null "$workdir/gdrload.json"
-jq -e '.server_stage_seconds.exec.count > 0 and .server_stage_seconds.queue.count > 0' \
+jq -e '.feedback_rounds > 0 and (.sessions | length) == 4 and ([.sessions[].applied] | min) > 0' \
   >/dev/null "$workdir/gdrload.json"
 
 echo "== restart the daemon mid-run; the session must survive"
