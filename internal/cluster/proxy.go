@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -292,17 +290,6 @@ func (p *Proxy) markSettlingLocked() {
 	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(live))
 }
 
-// newToken mints a fresh session token with the exact shape gdrd generates
-// (32 lowercase hex chars); the proxy chooses tokens so it can place the
-// session on the ring owner before the node ever sees the request.
-func newToken() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("cluster: generating session token: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
 // handleCreate places a new session: mint the token, hash it to its owner,
 // and forward the create with the placement header set. A request that
 // already carries an assigned token (an admin re-import) is routed by that
@@ -310,7 +297,7 @@ func newToken() (string, error) {
 func (p *Proxy) handleCreate(w http.ResponseWriter, r *http.Request) {
 	token := r.Header.Get(server.AssignTokenHeader)
 	if token == "" {
-		fresh, err := newToken()
+		fresh, err := server.NewToken()
 		if err != nil {
 			writeProxyError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -27,8 +27,9 @@ import (
 //	          capture. The store rejects stale watermarks, so a delayed push
 //	          can never roll a replica back. Pushes after the first are
 //	          asynchronous: a node lost for good takes with it the rounds
-//	          since its last landed push (gdrd_replica_lag_rounds shows
-//	          that exposure).
+//	          since its last landed push. (gdrd_replica_lag_rounds is not
+//	          that live exposure: it counts the rounds the node's latest
+//	          accepted push skipped over.)
 //	promote — when a node dies, failover() imports the freshest replica of
 //	          each orphaned session onto its new ring owner — no access to
 //	          the dead node's disk required.
@@ -179,7 +180,7 @@ func (p *Proxy) pushReplica(ctx context.Context, token string) error {
 	if err != nil {
 		return fmt.Errorf("exporting %s from %s: %w", token, primary, err)
 	}
-	if err := p.putReplica(ctx, target, replicaKey(tenant, token), seq, snap); err != nil {
+	if err := p.putReplica(ctx, target, server.SessionKey(tenant, token), seq, snap); err != nil {
 		return fmt.Errorf("pushing %s to %s: %w", token, target, err)
 	}
 	p.reg.Counter("gdrproxy_replica_pushes_total").Inc()
@@ -215,14 +216,6 @@ func (p *Proxy) dropReplicas(ctx context.Context, gone map[string]struct{}) {
 	}
 }
 
-// replicaKey renders the spill-store key for a session.
-func replicaKey(tenant, token string) string {
-	if tenant == "" {
-		return token
-	}
-	return tenant + "@" + token
-}
-
 // auditReplicas is the anti-entropy sweep: settle duplicate primaries,
 // re-derive the desired replica placement from the kept copies and queue a
 // push for every replica that is missing, misplaced, or behind its
@@ -249,7 +242,7 @@ func (p *Proxy) auditReplicas(ctx context.Context) {
 	// every kept copy replicates.
 	desired := make(map[string]replicaWant, len(kept)) // replica key → requirement
 	for _, c := range kept {
-		desired[replicaKey(c.info.Tenant, c.info.ID)] = replicaWant{token: c.info.ID, seq: c.info.MutSeq, target: replicaTarget(ring, c.info.ID, c.node)}
+		desired[server.SessionKey(c.info.Tenant, c.info.ID)] = replicaWant{token: c.info.ID, seq: c.info.MutSeq, target: replicaTarget(ring, c.info.ID, c.node)}
 	}
 	inventoryOK := true
 	held := make(map[string]map[string]server.ReplicaInfo) // node → key → info

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,34 +16,115 @@ import (
 	"gdr/internal/snapshot"
 )
 
-// snapSuffix names the per-session snapshot files in the data directory.
+// snapSuffix names snapshot files: <key>.snap, in either snapshot store.
 const snapSuffix = ".snap"
 
-// ownerSep separates the owning tenant from the token in a snapshot file
-// name. Neither side can contain it: tokens are hex and tenant names match
+// tmpMark sits between a snapshot file's name and the random suffix of the
+// temp file writeAtomic lands it through.
+const tmpMark = ".tmp-"
+
+// ownerSep separates the owning tenant from the token in a session key.
+// Neither side can contain it: tokens are hex and tenant names match
 // tenantNameRE, so the encoding is unambiguous.
 const ownerSep = "@"
 
-// snapshotPath places a session's snapshot in the data directory. Unowned
-// sessions are plain <token>.snap; owned ones carry their tenant as a
-// <tenant>@<token>.snap prefix, so ownership survives a restart without
+// SessionKey names a session in both snapshot stores and on the replica
+// endpoints: the bare token for an unowned session, <tenant>@<token> for
+// an owned one, so ownership survives a restart or a failover without
 // changing the snapshot byte format.
-func (s *Store) snapshotPath(e *entry) string {
-	base := e.id + snapSuffix
-	if e.tenant != "" {
-		base = e.tenant + ownerSep + base
+func SessionKey(tenant, token string) string {
+	if tenant == "" {
+		return token
 	}
-	return filepath.Join(s.dir, base)
+	return tenant + ownerSep + token
 }
+
+// splitKey inverts SessionKey.
+func splitKey(key string) (tenant, token string) {
+	if t, tok, ok := strings.Cut(key, ownerSep); ok {
+		return t, tok
+	}
+	return "", key
+}
+
+// validKey reports whether a key has SessionKey's shape: a token NewToken
+// could mint, optionally prefixed "<tenant>@" with a well-formed tenant
+// name. Anything else could escape the file naming scheme — or, for an
+// explicit empty tenant ("@<token>"), alias the bare-token key.
+func validKey(key string) bool {
+	tenant, token, owned := strings.Cut(key, ownerSep)
+	if !owned {
+		return validToken(key)
+	}
+	return validToken(token) && tenantNameRE.MatchString(tenant)
+}
+
+// snapDir is the one way a node keeps snapshots on disk, shared by the
+// session store (the data directory) and the replica spill store (its
+// replicas/ subdirectory): one <key>.snap file per session key, replaced
+// whole by writeAtomic. An empty dir keeps nothing on disk.
+type snapDir struct {
+	dir    string
+	faults *faultfs.Injector
+	log    *slog.Logger
+}
+
+func (d snapDir) path(key string) string { return filepath.Join(d.dir, key+snapSuffix) }
+
+// write lands data as key's snapshot crash-safely, over the previous one.
+func (d snapDir) write(key string, data []byte, t *obs.Trace) error {
+	return writeAtomic(d.path(key), data, d.faults, t)
+}
+
+// remove deletes key's snapshot, if there is one.
+func (d snapDir) remove(key string) {
+	if err := os.Remove(d.path(key)); err != nil && !os.IsNotExist(err) {
+		d.log.Warn("removing snapshot failed", "key", key, "err", err)
+	}
+}
+
+// scan creates the directory if it is missing and returns the keys of the
+// snapshots it holds, in name order. It runs at boot, before any writer,
+// so a temp file there is a write a crash cut short, and is deleted. Any
+// other file that is not <key>.snap under a well-formed key (a stray
+// export, a replica file of an older build) is logged and left in place.
+func (d snapDir) scan() ([]string, error) {
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
+		return nil, err
+	}
+	files, err := os.ReadDir(d.dir)
+	if err != nil {
+		return nil, err
+	}
+	var keys []string
+	for _, f := range files {
+		path := filepath.Join(d.dir, f.Name())
+		key, isSnap := strings.CutSuffix(f.Name(), snapSuffix)
+		switch {
+		case f.IsDir():
+		case strings.Contains(f.Name(), snapSuffix+tmpMark):
+			if err := os.Remove(path); err != nil {
+				d.log.Warn("removing temp file failed", "path", path, "err", err)
+			}
+		case isSnap && validKey(key):
+			keys = append(keys, key)
+		default:
+			d.log.Warn("skipping snapshot "+path, "err", "not named <key>.snap with key [tenant@]token")
+		}
+	}
+	return keys, nil
+}
+
+// key names the entry's session in the snapshot stores.
+func (e *entry) key() string { return SessionKey(e.tenant, e.id) }
 
 // Snapshot encodes the session's current state in a command holding its
 // turn and returns the bytes plus the mutation sequence they capture (the
-// replica watermark); with persistence enabled the same bytes are also
-// written through the checkpoint path, so an explicit export doubles as a
-// durable checkpoint. The write is best-effort: a failing disk must not
-// block the export — taking sessions off a sick node is exactly what the
-// endpoint is for — so persist errors are logged and counted, and the
-// periodic flusher keeps retrying.
+// replica watermark). With persistence enabled the same bytes also land
+// through checkpoint, so an explicit export doubles as a durable
+// checkpoint. That write is best-effort: a failing disk must not block the
+// export — taking sessions off a sick node is exactly what the endpoint is
+// for — so its failure is counted and left to the flusher's retries.
 func (s *Store) Snapshot(ctx context.Context, e *entry) ([]byte, uint64, error) {
 	// The lease pins the session against TTL eviction for the whole export:
 	// the cluster proxy calls this to move a session, and the janitor
@@ -51,23 +133,10 @@ func (s *Store) Snapshot(ctx context.Context, e *entry) ([]byte, uint64, error) 
 	e.acquireLease(s.now())
 	defer func() { e.releaseLease(s.now()) }()
 	data, mut, err := s.encode(ctx, e)
-	if err != nil {
-		return nil, 0, err
+	if err == nil && s.dir != "" {
+		_ = s.checkpoint(ctx, e, data, mut)
 	}
-	if s.dir != "" {
-		t := obs.FromContext(ctx)
-		h := t.StartSpan("persist")
-		err := s.persist(e, data, mut, t)
-		h.End()
-		if err != nil {
-			s.reg.Counter("gdrd_checkpoint_failures_total").Inc()
-			e.ckptFailed(s.now(), s.ckptEvery)
-			s.log.Warn("persisting snapshot failed", "session", e.id, "err", err)
-		} else {
-			e.ckptSucceeded()
-		}
-	}
-	return data, mut, nil
+	return data, mut, err
 }
 
 // Checkpoint makes the session durable: encode as a session command, write
@@ -80,19 +149,27 @@ func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 	if s.dir == "" {
 		return nil
 	}
-	// The whole checkpoint is one "persist" span; the encode command runs
-	// with this span as its parent, so its queue/slot/exec spans nest
-	// under persist instead of reading as a second request.
+	return s.checkpoint(ctx, e, nil, 0)
+}
+
+// checkpoint is the one path from a session to its file, run as one
+// "persist" span: it encodes the session unless the caller passes bytes
+// already encoded at watermark mut, persists them, counts the outcome and
+// sets the flusher's backoff. Its own encode runs under the persist span,
+// so its queue, slot and exec spans do not read as a second request; an
+// export passes its bytes, so its encode stays the request's own work.
+func (s *Store) checkpoint(ctx context.Context, e *entry, data []byte, mut uint64) error {
 	t := obs.FromContext(ctx)
 	h := t.StartSpan("persist")
 	defer h.End()
-	data, mut, err := s.encode(obs.WithSpanParent(ctx, "persist"), e)
-	if err != nil {
-		s.reg.Counter("gdrd_checkpoint_failures_total").Inc()
-		e.ckptFailed(s.now(), s.ckptEvery)
-		return err
+	var err error
+	if data == nil {
+		data, mut, err = s.encode(obs.WithSpanParent(ctx, "persist"), e)
 	}
-	if err := s.persist(e, data, mut, t); err != nil {
+	if err == nil {
+		err = s.persist(e, data, mut, t)
+	}
+	if err != nil {
 		s.reg.Counter("gdrd_checkpoint_failures_total").Inc()
 		e.ckptFailed(s.now(), s.ckptEvery)
 		return err
@@ -133,7 +210,7 @@ func (s *Store) persist(e *entry, data []byte, mut uint64, t *obs.Trace) error {
 	if e.hasDurable && mut <= e.durableMut {
 		return nil
 	}
-	if err := writeAtomic(s.snapshotPath(e), data, s.faults, t); err != nil {
+	if err := s.write(e.key(), data, t); err != nil {
 		return err
 	}
 	e.durableMut = mut
@@ -149,7 +226,7 @@ func (s *Store) persist(e *entry, data []byte, mut uint64, t *obs.Trace) error {
 // can never corrupt the previous snapshot.
 func writeAtomic(path string, data []byte, faults *faultfs.Injector, t *obs.Trace) error {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	f, err := os.CreateTemp(dir, filepath.Base(path)+tmpMark+"*")
 	if err != nil {
 		return err
 	}
@@ -187,26 +264,18 @@ func writeAtomic(path string, data []byte, faults *faultfs.Injector, t *obs.Trac
 // itself is deliberately removed (explicit delete, TTL eviction), so the
 // data directory always mirrors the live session set.
 func (s *Store) removeSnapshot(e *entry) {
-	if s.dir == "" {
-		return
-	}
-	if err := os.Remove(s.snapshotPath(e)); err != nil && !os.IsNotExist(err) {
-		s.log.Warn("removing snapshot failed", "session", e.id, "err", err)
+	if s.dir != "" {
+		s.remove(e.key())
 	}
 }
 
-// restoreDir loads every *.snap file in the data directory and registers
-// the sessions under their original tokens and owners (both encoded in the
-// file names). It runs during store construction, before any traffic.
-// Unreadable or corrupt snapshots are skipped with a log line — one bad
-// file must not take the daemon down — and left in place for operator
-// inspection.
+// restoreDir loads every snapshot in the data directory and registers the
+// sessions under their original tokens and owners (both encoded in the
+// key). It runs during store construction, before any traffic. Unreadable
+// or corrupt snapshots are skipped with a log line — one bad file must not
+// take the daemon down — and left in place for operator inspection.
 func (s *Store) restoreDir() {
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		s.log.Error("creating data dir failed", "dir", s.dir, "err", err)
-		return
-	}
-	names, err := filepath.Glob(filepath.Join(s.dir, "*"+snapSuffix))
+	keys, err := s.scan()
 	if err != nil {
 		s.log.Error("scanning data dir failed", "dir", s.dir, "err", err)
 		return
@@ -217,16 +286,13 @@ func (s *Store) restoreDir() {
 	// obvious — setLiveLocked requires it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, path := range names {
-		base := strings.TrimSuffix(filepath.Base(path), snapSuffix)
-		tenant, token, owned := strings.Cut(base, ownerSep)
-		if !owned {
-			tenant, token = "", base
-		}
+	for _, key := range keys {
+		path := s.path(key)
 		if s.maxLive > 0 && len(s.entries) >= s.maxLive {
 			s.log.Warn("session cap reached; not restoring", "cap", s.maxLive, "path", path)
 			break
 		}
+		tenant, token := splitKey(key)
 		e, err := s.restoreFile(token, tenant, path)
 		if err != nil {
 			s.log.Warn("skipping snapshot "+path, "err", err)
@@ -236,7 +302,7 @@ func (s *Store) restoreDir() {
 		restored++
 	}
 	s.setLiveLocked()
-	if restored > 0 || len(names) > 0 {
+	if len(keys) > 0 {
 		s.log.Info("restored sessions", "count", restored, "dir", s.dir)
 	}
 	s.reg.Counter("gdrd_sessions_restored_total").Add(int64(restored))

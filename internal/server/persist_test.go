@@ -11,10 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"gdr/internal/core"
+	"gdr/internal/snapshot"
 )
 
 // newDurableServer boots a server over a data directory without the usual
@@ -301,5 +303,197 @@ func TestCloseFlushesDirtySessions(t *testing.T) {
 	defer srv2.Close()
 	if got := srv2.Store().Len(); got != 1 {
 		t.Fatalf("flushed snapshot did not restore: %d sessions", got)
+	}
+}
+
+// bootLogged starts a server with its log captured and returns what the
+// boot wrote, read before any request runs.
+func bootLogged(t *testing.T, cfg Config) (*Server, *httptest.Server, string) {
+	t.Helper()
+	var logged bytes.Buffer
+	cfg.Logger = slog.New(slog.NewTextHandler(&logged, nil))
+	srv := New(cfg)
+	boot := logged.String()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return srv, ts, boot
+}
+
+// exportSnapshot POSTs .../snapshot and returns the bytes and the
+// watermark header.
+func exportSnapshot(t *testing.T, ts *httptest.Server, id string) ([]byte, string) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+id+"/snapshot", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	return data, resp.Header.Get(MutationSeqHeader)
+}
+
+// TestStraySnapshotNameNotRestored: an export saved into the data directory
+// under a name that is no session key — the README's session.snap — is not
+// restored at boot, where it would answer under a guessable id that no
+// proxy can move. It is logged and left in place.
+func TestStraySnapshotNameNotRestored(t *testing.T) {
+	dir := t.TempDir()
+	srvA, tsA := newDurableServer(t, dir, core.Config{Workers: 1})
+	id := createFigure1Session(t, tsA).Session.ID
+	snap, _ := exportSnapshot(t, tsA, id)
+	tsA.Close()
+	srvA.Close()
+	stray := filepath.Join(dir, "session"+snapSuffix)
+	if err := os.WriteFile(stray, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, tsB, boot := bootLogged(t, Config{Workers: 2, Session: core.Config{Workers: 1}, DataDir: dir})
+	if code, _ := rawGET(t, tsB, "/v1/sessions/session/status"); code != http.StatusNotFound {
+		t.Fatalf("the stray export answers under id %q: status %d, want 404", "session", code)
+	}
+	if got := srvB.Store().Len(); got != 1 {
+		t.Fatalf("restored %d sessions, want only %s", got, id)
+	}
+	if code, _ := rawGET(t, tsB, "/v1/sessions/"+id+"/status"); code != http.StatusOK {
+		t.Fatalf("the session's own snapshot was not restored: status %d", code)
+	}
+	if !strings.Contains(boot, "skipping snapshot "+stray) {
+		t.Fatalf("the stray file was not reported:\n%s", boot)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("the stray file was not left in place: %v", err)
+	}
+}
+
+// TestBootDeletesTempFiles: a process killed inside writeAtomic leaves its
+// temp file behind. The boot scan deletes it, in both snapshot stores, and
+// restores nothing from it, even when it holds a complete snapshot under a
+// well-formed key.
+func TestBootDeletesTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "replicas"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	snap := mustSnapshotBytes(t, 4)
+	temps := []string{
+		filepath.Join(dir, replicaTestToken+snapSuffix+".tmp-123"),
+		filepath.Join(dir, "replicas", replicaTestToken+snapSuffix+".tmp-456"),
+	}
+	for _, p := range temps {
+		if err := os.WriteFile(p, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, _ := newTestServer(t, Config{ClusterMode: true, DataDir: dir})
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("temp file %s survived the boot scan (stat: %v)", p, err)
+		}
+	}
+	if got := srv.Store().Len(); got != 0 {
+		t.Fatalf("restored %d sessions from a temp file", got)
+	}
+	if got := srv.replicas.count(); got != 0 {
+		t.Fatalf("restored %d replicas from a temp file", got)
+	}
+}
+
+// TestCorruptSnapshotUnderValidKeySkipped: a damaged file under a
+// well-formed key reaches the decoder, fails it, and is skipped with a log
+// line and left in place — in both snapshot stores — while the healthy
+// session and replica beside it are still served.
+func TestCorruptSnapshotUnderValidKeySkipped(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{ClusterMode: true, Workers: 2, Session: core.Config{Workers: 1}, DataDir: dir}
+	srvA := New(cfg)
+	tsA := httptest.NewServer(srvA.Handler())
+	keep := createFigure1Session(t, tsA).Session.ID
+	lose := createFigure1Session(t, tsA).Session.ID
+	keepKey, loseKey := replicaTestToken, "acme@fedcba9876543210fedcba9876543210"
+	if code := pushReplica(t, tsA, keepKey, 5, mustSnapshotBytes(t, 5)); code != http.StatusOK {
+		t.Fatalf("push: status %d", code)
+	}
+	if code := pushReplica(t, tsA, loseKey, 6, mustSnapshotBytes(t, 6)); code != http.StatusOK {
+		t.Fatalf("push: status %d", code)
+	}
+	tsA.Close()
+	srvA.Close()
+	damaged := []string{
+		filepath.Join(dir, lose+snapSuffix),
+		filepath.Join(dir, "replicas", loseKey+snapSuffix),
+	}
+	for _, p := range damaged {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srvB, tsB, boot := bootLogged(t, cfg)
+	if code, _ := rawGET(t, tsB, "/v1/sessions/"+keep+"/status"); code != http.StatusOK {
+		t.Fatalf("healthy session not served after boot: %d", code)
+	}
+	if code, _ := rawGET(t, tsB, "/v1/sessions/"+lose+"/status"); code != http.StatusNotFound {
+		t.Fatalf("damaged session answers %d, want 404", code)
+	}
+	if data, seq, ok := srvB.replicas.get(keepKey); !ok || seq != 5 || !bytes.Equal(data, mustSnapshotBytes(t, 5)) {
+		t.Fatalf("healthy replica not served after boot: ok %v, seq %d", ok, seq)
+	}
+	if _, _, ok := srvB.replicas.get(loseKey); ok {
+		t.Fatal("damaged replica was restored")
+	}
+	for _, p := range damaged {
+		if !strings.Contains(boot, "skipping snapshot "+p) {
+			t.Fatalf("%s was not reported:\n%s", p, boot)
+		}
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("%s was not left in place: %v", p, err)
+		}
+	}
+}
+
+// TestExportLandsCheckpoint: an export of a dirty durable session also lands
+// its checkpoint, at the export's own watermark, and leaves the session
+// clean. A random-order poll is the mutation: it has no checkpoint of its
+// own.
+func TestExportLandsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 2, Session: core.Config{Workers: 1}, DataDir: dir})
+	id := createFigure1Session(t, ts).Session.ID
+	sessionGET(t, ts, id, "/groups?order=random")
+	e, ok := srv.Store().Get(id)
+	if !ok {
+		t.Fatal("session vanished")
+	}
+	if !e.isDirty() {
+		t.Fatal("a random-order poll left the session clean")
+	}
+
+	snap, header := exportSnapshot(t, ts, id)
+	file, err := os.ReadFile(filepath.Join(dir, id+snapSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := snapshot.Watermark(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header == "0" || strconv.FormatUint(seq, 10) != header {
+		t.Fatalf("checkpoint watermark %d, export's %s header %q", seq, MutationSeqHeader, header)
+	}
+	if !bytes.Equal(file, snap) {
+		t.Fatal("the checkpoint holds other bytes than the export")
+	}
+	if e.isDirty() {
+		t.Fatal("session still dirty after the export's checkpoint")
 	}
 }

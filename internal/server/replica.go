@@ -6,10 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"gdr/internal/faultfs"
@@ -26,154 +24,106 @@ import (
 // what the store already holds is rejected with 409, so a delayed or
 // replayed push can never roll a replica back.
 
-// replicaSuffix names replica files inside the store's directory.
-const replicaSuffix = ".replica"
-
 // errReplicaStale rejects a replica push whose watermark is behind the
 // stored copy (mapped to 409).
 var errReplicaStale = fmt.Errorf("server: replica push is stale")
 
-// replicaRec is one held replica. With a directory configured the bytes
-// live on disk and data is nil; without one they stay in memory (a
-// diskless node can still serve as a replica target).
+// replicaRec is one held replica: the watermark its snapshot carries, its
+// size, and — without a directory, so that a diskless node can still serve
+// as a replica target — its bytes.
 type replicaRec struct {
 	seq  uint64
 	size int
 	data []byte
 }
 
-// replicaStore holds replica snapshots keyed by "<tenant>@<token>" (or a
-// bare token for unowned sessions). It is deliberately dumb storage: no
-// TTLs, no interpretation of the bytes beyond envelope verification — the
-// proxy's anti-entropy sweep owns the lifecycle.
+// replicaStore holds replica snapshots under their session keys, on disk
+// the way the session store keeps checkpoints: <dir>/<key>.snap. It is
+// deliberately dumb storage: no TTLs, no interpretation of the bytes beyond
+// the envelope and the watermark — the proxy's anti-entropy sweep owns the
+// lifecycle.
 type replicaStore struct {
-	dir    string // "" = memory-only
-	faults *faultfs.Injector
-	log    *slog.Logger
+	snapDir // dir "" = memory only
 
 	mu   sync.Mutex
 	held map[string]replicaRec // gdr:guarded-by mu
 }
 
 // newReplicaStore builds the store and, with a directory configured,
-// rescans replicas that survived a restart (keeping only the highest
-// watermark per key).
+// rescans the replicas that survived a restart, each at the watermark its
+// verified snapshot carries.
 func newReplicaStore(dir string, faults *faultfs.Injector, log *slog.Logger) *replicaStore {
-	rs := &replicaStore{dir: dir, faults: faults, log: log, held: make(map[string]replicaRec)}
+	rs := &replicaStore{snapDir: snapDir{dir: dir, faults: faults, log: log}, held: make(map[string]replicaRec)}
 	if dir == "" {
 		return rs
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		rs.log.Error("creating replica dir failed", "dir", dir, "err", err)
+	keys, err := rs.scan()
+	if err != nil {
+		rs.log.Error("scanning replica dir failed", "dir", dir, "err", err)
 		rs.dir = "" // fall back to memory-only rather than failing every push
 		return rs
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "*"+replicaSuffix))
-	if err != nil {
-		rs.log.Error("scanning replica dir failed", "dir", dir, "err", err)
-		return rs
-	}
 	rs.mu.Lock()
-	for _, path := range names {
-		key, seq, ok := parseReplicaName(filepath.Base(path))
-		if !ok {
-			rs.log.Warn("skipping unparseable replica file", "path", path)
-			continue
+	defer rs.mu.Unlock()
+	for _, key := range keys {
+		data, err := os.ReadFile(rs.path(key))
+		var seq uint64
+		if err == nil {
+			seq, err = snapshot.Watermark(data)
 		}
-		fi, err := os.Stat(path)
 		if err != nil {
+			rs.log.Warn("skipping snapshot "+rs.path(key), "err", err)
 			continue
 		}
-		if prev, dup := rs.held[key]; dup {
-			// Two files for one key (a crash between write and cleanup):
-			// keep the higher watermark, drop the other.
-			stale := path
-			if seq > prev.seq {
-				stale = rs.path(key, prev.seq)
-				rs.held[key] = replicaRec{seq: seq, size: int(fi.Size())}
-			}
-			if err := os.Remove(stale); err != nil && !os.IsNotExist(err) {
-				rs.log.Warn("removing superseded replica failed", "path", stale, "err", err)
-			}
-			continue
-		}
-		rs.held[key] = replicaRec{seq: seq, size: int(fi.Size())}
+		rs.held[key] = replicaRec{seq: seq, size: len(data)}
 	}
-	restored := len(rs.held)
-	rs.mu.Unlock()
-	if restored > 0 {
-		rs.log.Info("restored replicas", "count", restored, "dir", dir)
+	if len(rs.held) > 0 {
+		rs.log.Info("restored replicas", "count", len(rs.held), "dir", dir)
 	}
 	return rs
 }
 
-// path names the replica file for a key at a watermark. The key's charset
-// (hex token, tenant matching tenantNameRE, the '@' separator) is
-// filename-safe by construction.
-func (rs *replicaStore) path(key string, seq uint64) string {
-	return filepath.Join(rs.dir, key+"."+strconv.FormatUint(seq, 10)+replicaSuffix)
-}
-
-// parseReplicaName splits "<key>.<seq>.replica". The seq is delimited by
-// the RIGHTMOST interior dot — tenant names may themselves contain dots.
-func parseReplicaName(base string) (key string, seq uint64, ok bool) {
-	rest, found := strings.CutSuffix(base, replicaSuffix)
-	if !found {
-		return "", 0, false
-	}
-	i := strings.LastIndexByte(rest, '.')
-	if i <= 0 {
-		return "", 0, false
-	}
-	seq, err := strconv.ParseUint(rest[i+1:], 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return rest[:i], seq, true
-}
-
-// put stores one replica push. Watermarks are monotone per key: an older
-// push returns errReplicaStale, an equal one is an idempotent no-op (the
-// proxy retries pushes), a newer one replaces the copy atomically.
-func (rs *replicaStore) put(key string, seq uint64, data []byte, t *obs.Trace) error {
+// put stores one replica push at watermark seq and returns the watermark
+// held before it, if any. Watermarks are monotone per key: an older push
+// returns errReplicaStale, an equal one is an idempotent no-op (the proxy
+// retries pushes), and a newer one replaces the copy atomically — if its
+// snapshot carries that watermark (carried), which keeps the held one
+// equal to what a restart reads back.
+func (rs *replicaStore) put(key string, seq, carried uint64, data []byte, t *obs.Trace) (held uint64, had bool, err error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	prev, exists := rs.held[key]
-	if exists && seq < prev.seq {
-		return errReplicaStale
-	}
-	if exists && seq == prev.seq {
-		return nil
+	prev, had := rs.held[key]
+	switch {
+	case had && seq < prev.seq:
+		return prev.seq, had, errReplicaStale
+	case had && seq == prev.seq:
+		return prev.seq, had, nil
+	case carried != seq:
+		return prev.seq, had, fmt.Errorf("%w: %s is %d but the snapshot carries watermark %d", ErrBadRequest, MutationSeqHeader, seq, carried)
 	}
 	rec := replicaRec{seq: seq, size: len(data)}
 	if rs.dir == "" {
+		// Copied to its exact size: the body io.ReadAll returns has up to a
+		// fifth more capacity, which a held replica would keep alive.
 		rec.data = append([]byte(nil), data...)
-	} else {
-		if err := writeAtomic(rs.path(key, seq), data, rs.faults, t); err != nil {
-			return err
-		}
-		if exists {
-			if err := os.Remove(rs.path(key, prev.seq)); err != nil && !os.IsNotExist(err) {
-				rs.log.Warn("removing superseded replica failed", "key", key, "err", err)
-			}
-		}
+	} else if err = rs.write(key, data, t); err != nil {
+		return prev.seq, had, err
 	}
 	rs.held[key] = rec
-	return nil
+	return prev.seq, had, nil
 }
 
-// get returns the held replica bytes and watermark for a key.
+// get returns the held replica bytes and watermark for a key. The read
+// holds the lock, as put's write does, so the bytes are always the ones
+// the watermark names.
 func (rs *replicaStore) get(key string) ([]byte, uint64, bool) {
 	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	rec, ok := rs.held[key]
-	rs.mu.Unlock()
-	if !ok {
-		return nil, 0, false
+	if !ok || rs.dir == "" {
+		return rec.data, rec.seq, ok
 	}
-	if rs.dir == "" {
-		return rec.data, rec.seq, true
-	}
-	data, err := os.ReadFile(rs.path(key, rec.seq))
+	data, err := os.ReadFile(rs.path(key))
 	if err != nil {
 		rs.log.Warn("reading replica failed", "key", key, "err", err)
 		return nil, 0, false
@@ -181,21 +131,17 @@ func (rs *replicaStore) get(key string) ([]byte, uint64, bool) {
 	return data, rec.seq, true
 }
 
-// drop removes a held replica; it reports whether one existed.
+// drop removes a held replica; it reports whether one existed. The file
+// goes under the lock, so a racing push cannot land first and be deleted.
 func (rs *replicaStore) drop(key string) bool {
 	rs.mu.Lock()
-	rec, ok := rs.held[key]
-	if ok {
-		delete(rs.held, key)
-	}
-	rs.mu.Unlock()
-	if !ok {
+	defer rs.mu.Unlock()
+	if _, ok := rs.held[key]; !ok {
 		return false
 	}
+	delete(rs.held, key)
 	if rs.dir != "" {
-		if err := os.Remove(rs.path(key, rec.seq)); err != nil && !os.IsNotExist(err) {
-			rs.log.Warn("removing replica failed", "key", key, "err", err)
-		}
+		rs.remove(key)
 	}
 	return true
 }
@@ -205,7 +151,7 @@ func (rs *replicaStore) list() []ReplicaInfo {
 	rs.mu.Lock()
 	out := make([]ReplicaInfo, 0, len(rs.held))
 	for key, rec := range rs.held {
-		tenant, token := splitReplicaKey(key)
+		tenant, token := splitKey(key)
 		out = append(out, ReplicaInfo{Key: key, Token: token, Tenant: tenant, Seq: rec.seq, Size: rec.size})
 	}
 	rs.mu.Unlock()
@@ -218,30 +164,6 @@ func (rs *replicaStore) count() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return len(rs.held)
-}
-
-// splitReplicaKey splits a store key into tenant and token. Tokens are hex
-// and tenant names cannot contain '@', so the first '@' is the separator.
-func splitReplicaKey(key string) (tenant, token string) {
-	if t, tok, ok := strings.Cut(key, "@"); ok {
-		return t, tok
-	}
-	return "", key
-}
-
-// validReplicaKey checks a client-supplied replica key: a valid session
-// token, optionally prefixed "<tenant>@" with a well-formed tenant name.
-// Anything else could escape the file naming scheme — or, for an explicit
-// empty tenant ("@<token>"), alias the bare-token key — and is rejected.
-func validReplicaKey(key string) bool {
-	tenant, token := splitReplicaKey(key)
-	if !validToken(token) {
-		return false
-	}
-	if strings.Contains(key, "@") {
-		return tenantNameRE.MatchString(tenant)
-	}
-	return true
 }
 
 // replicaMetrics refreshes the replica gauges after a store mutation.
@@ -258,7 +180,7 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	if !validReplicaKey(key) {
+	if !validKey(key) {
 		writeError(w, fmt.Errorf("%w: malformed replica key", ErrBadRequest))
 		return
 	}
@@ -272,35 +194,31 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: reading replica body: %w", ErrBadRequest, err))
 		return
 	}
-	// Envelope check before the disk is touched: a corrupt push (bad magic,
+	// Envelope check before anything is stored: a corrupt push (bad magic,
 	// unreadable version, CRC mismatch) must never replace a good replica.
-	if err := snapshot.Verify(data); err != nil {
+	carried, err := snapshot.Watermark(data)
+	if err != nil {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
 	}
-	prevSeq, hadPrev := uint64(0), false
-	s.replicas.mu.Lock()
-	if rec, ok := s.replicas.held[key]; ok {
-		prevSeq, hadPrev = rec.seq, true
+	held, had, err := s.replicas.put(key, seq, carried, data, obs.FromContext(r.Context()))
+	if err == errReplicaStale {
+		s.reg.Counter("gdrd_replica_stale_pushes_total").Inc()
+		writeJSON(w, http.StatusConflict, ErrorBody{Error: fmt.Sprintf("%v: holds seq %d, push carries %d", err, held, seq)})
+		return
 	}
-	s.replicas.mu.Unlock()
-	if err := s.replicas.put(key, seq, data, obs.FromContext(r.Context())); err != nil {
-		if err == errReplicaStale {
-			s.reg.Counter("gdrd_replica_stale_pushes_total").Inc()
-			writeJSON(w, http.StatusConflict, ErrorBody{Error: fmt.Sprintf("%v: holds seq %d, push carries %d", err, prevSeq, seq)})
-			return
-		}
+	if err != nil {
 		writeError(w, err)
 		return
 	}
 	s.reg.Counter("gdrd_replica_pushes_total").Inc()
-	// Lag: how many mutating rounds this replica had missed before the push
-	// caught it up (consecutive pushes are one round apart).
-	if hadPrev && seq > prevSeq+1 {
-		s.reg.Gauge("gdrd_replica_lag_rounds").Set(int64(seq - prevSeq - 1))
-	} else {
-		s.reg.Gauge("gdrd_replica_lag_rounds").Set(0)
+	// The rounds this push skipped over: 0 when it follows the held copy
+	// by one round (or is the key's first), more when pushes were lost.
+	lag := int64(0)
+	if had && seq > held+1 {
+		lag = int64(seq - held - 1)
 	}
+	s.reg.Gauge("gdrd_replica_lag_rounds").Set(lag)
 	s.replicaMetrics()
 	writeJSON(w, http.StatusOK, map[string]any{"status": "stored", "seq": seq})
 }

@@ -3,10 +3,14 @@ package server
 import (
 	"bytes"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 
 	"gdr/internal/snapshot"
@@ -189,29 +193,144 @@ func TestReplicaSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestParseReplicaName: the seq is split on the rightmost dot, so dotted
-// tenant names round-trip.
-func TestParseReplicaName(t *testing.T) {
-	cases := []struct {
-		base string
-		key  string
+// TestReplicaPushesKeepOneFile: however often a replica is pushed, it lives
+// in one file, replicas/<key>.snap, replaced the way a checkpoint is; after
+// a restart the store serves the newer bytes at the watermark they carry.
+func TestReplicaPushesKeepOneFile(t *testing.T) {
+	dir := t.TempDir()
+	srvA := New(Config{ClusterMode: true, DataDir: dir})
+	tsA := httptest.NewServer(srvA.Handler())
+	key := "acme@" + replicaTestToken
+	snap4, snap9 := mustSnapshotBytes(t, 4), mustSnapshotBytes(t, 9)
+	for _, p := range []struct {
 		seq  uint64
-		ok   bool
-	}{
-		{"abc.12.replica", "abc", 12, true},
-		{"team.a@abc.3.replica", "team.a@abc", 3, true},
-		{"abc.replica", "", 0, false},   // no seq
-		{".12.replica", "", 0, false},   // empty key
-		{"abc.x.replica", "", 0, false}, // non-numeric seq
-		{"abc.12.snap", "", 0, false},   // wrong suffix
-	}
-	for _, c := range cases {
-		key, seq, ok := parseReplicaName(c.base)
-		if key != c.key || seq != c.seq || ok != c.ok {
-			t.Errorf("parseReplicaName(%q) = (%q, %d, %v), want (%q, %d, %v)",
-				c.base, key, seq, ok, c.key, c.seq, c.ok)
+		data []byte
+	}{{4, snap4}, {9, snap9}} {
+		if code := pushReplica(t, tsA, key, p.seq, p.data); code != http.StatusOK {
+			t.Fatalf("push at %d: status %d", p.seq, code)
 		}
 	}
+	tsA.Close()
+	srvA.Close()
+
+	files, err := os.ReadDir(filepath.Join(dir, "replicas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if want := key + snapSuffix; len(names) != 1 || names[0] != want {
+		t.Fatalf("replicas/ holds %v, want [%s]", names, want)
+	}
+
+	srvB, _ := newTestServer(t, Config{ClusterMode: true, DataDir: dir})
+	data, seq, ok := srvB.replicas.get(key)
+	if !ok || seq != 9 || !bytes.Equal(data, snap9) {
+		t.Fatalf("after restart: ok %v, seq %d, newer bytes %v", ok, seq, bytes.Equal(data, snap9))
+	}
+}
+
+// TestReplicaPushWatermarkMismatch: a push that would be stored must carry,
+// inside its snapshot, the watermark its header claims, or it is a 400 and
+// nothing is stored. The check follows the stale and equal checks, so a
+// stale header still reads 409 and a repeated one 200. On disk and in
+// memory alike.
+func TestReplicaPushWatermarkMismatch(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		srv, ts := newTestServer(t, Config{ClusterMode: true, DataDir: dir})
+		key := replicaTestToken
+		if code := pushReplica(t, ts, key, 5, mustSnapshotBytes(t, 4)); code != http.StatusBadRequest {
+			t.Fatalf("dir %q: first push, header 5, snapshot 4: status %d, want 400", dir, code)
+		}
+		if _, _, ok := srv.replicas.get(key); ok {
+			t.Fatalf("dir %q: a mismatched push was stored", dir)
+		}
+		snap3 := mustSnapshotBytes(t, 3)
+		if code := pushReplica(t, ts, key, 3, snap3); code != http.StatusOK {
+			t.Fatalf("dir %q: push at 3: status %d", dir, code)
+		}
+		for _, c := range []struct {
+			header, carried uint64
+			want            int
+		}{
+			{5, 6, http.StatusBadRequest},
+			{4, 3, http.StatusBadRequest},
+			{3, 4, http.StatusOK},       // equal header: idempotent, stores nothing
+			{2, 3, http.StatusConflict}, // stale header
+		} {
+			if code := pushReplica(t, ts, key, c.header, mustSnapshotBytes(t, c.carried)); code != c.want {
+				t.Fatalf("dir %q: header %d, snapshot %d: status %d, want %d", dir, c.header, c.carried, code, c.want)
+			}
+		}
+		if data, seq, ok := srv.replicas.get(key); !ok || seq != 3 || !bytes.Equal(data, snap3) {
+			t.Fatalf("dir %q: held copy moved: ok %v, seq %d", dir, ok, seq)
+		}
+		if got := srv.Registry().Counter("gdrd_replica_pushes_total").Value(); got != 2 {
+			t.Fatalf("dir %q: %d pushes counted, want 2 (the store and the idempotent repeat)", dir, got)
+		}
+	}
+}
+
+// TestReplicaStoreRacingPushesPullsDrops: with pushes, pulls and drops of
+// one key racing, every pull returns bytes whose snapshot carries the
+// watermark it reports, and the directory ends holding exactly the file of
+// the replica still held, or none.
+func TestReplicaStoreRacingPushesPullsDrops(t *testing.T) {
+	dir := t.TempDir()
+	rs := newReplicaStore(dir, nil, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	snaps := make([][]byte, 12)
+	for i := range snaps {
+		snaps[i] = mustSnapshotBytes(t, uint64(i))
+	}
+	pull := func() bool {
+		data, seq, ok := rs.get(replicaTestToken)
+		if !ok {
+			return true
+		}
+		w, err := snapshot.Watermark(data)
+		if err != nil || w != seq {
+			t.Errorf("pulled watermark %d with bytes carrying %d (%v)", seq, w, err)
+			return false
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 1; i < len(snaps); i++ {
+			if _, _, err := rs.put(replicaTestToken, uint64(i), uint64(i), snaps[i], nil); err != nil && err != errReplicaStale {
+				t.Errorf("push %d: %v", i, err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200 && pull(); i++ {
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			rs.drop(replicaTestToken)
+		}
+	}()
+	wg.Wait()
+
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, held := rs.get(replicaTestToken)
+	switch {
+	case held && (len(files) != 1 || files[0].Name() != replicaTestToken+snapSuffix):
+		t.Fatalf("a held replica, but the directory holds %v", files)
+	case !held && len(files) != 0:
+		t.Fatalf("no replica held, but the directory holds %v", files)
+	}
+	pull()
 }
 
 // FuzzReplicaPut throws arbitrary keys, watermarks, and bodies at the

@@ -31,7 +31,12 @@
 // checkpointed to disk (temp-file + rename, so a crash never leaves a torn
 // snapshot), a periodic flusher retries failed writes with backoff, shutdown
 // flushes a final checkpoint of every live session, and a restarting server
-// restores all sessions under their original tokens.
+// restores all sessions under their original tokens. Checkpoints and the
+// replicas a node holds for others share one snapshot store: one
+// <key>.snap file per session key ([tenant@]token), sessions in the data
+// directory and replicas in its replicas/ subdirectory, each replaced by a
+// rename. A replica's watermark is the one its snapshot carries. The boot
+// scan loads only well-formed keys and deletes the temp files a crash left.
 //
 // With Config.Tenants set, the server is multi-tenant: requests authenticate
 // with per-tenant bearer keys, sessions are owned by (and visible to only)
@@ -120,8 +125,9 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies (default 32 MiB).
 	MaxBodyBytes int64
 	// DataDir enables durable sessions: every live session is checkpointed
-	// into this directory (one <token>.snap file each) and restored on the
-	// next boot. Empty disables persistence.
+	// into this directory (one <key>.snap file each, key [tenant@]token)
+	// and restored on the next boot; held replicas go to its replicas/
+	// subdirectory the same way. Empty disables persistence.
 	DataDir string
 	// CheckpointEvery is the cadence of the periodic flusher that retries
 	// checkpoints for sessions whose on-feedback write failed (default 30s;

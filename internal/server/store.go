@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +13,6 @@ import (
 
 	"gdr/internal/cfd"
 	"gdr/internal/core"
-	"gdr/internal/faultfs"
 	"gdr/internal/metrics"
 	"gdr/internal/obs"
 	"gdr/internal/relation"
@@ -37,15 +35,14 @@ type Store struct {
 	session    core.Config // per-session defaults (Seed/Workers overridable per request)
 	sched      *sched      // tenant-fair CPU slot scheduler
 	queueDepth int
-	faults     *faultfs.Injector
 	reg        *metrics.Registry
 	now        func() time.Time
 
-	// dir is the snapshot directory ("" disables persistence); ckptEvery
-	// the periodic flusher cadence; log the store's structured sink (never nil).
-	dir       string
+	// snapDir is the data directory (dir "" disables persistence), whose
+	// faults also reach the session turns and whose log is the store's
+	// structured sink (never nil); ckptEvery is the flusher cadence.
+	snapDir
 	ckptEvery time.Duration
-	log       *slog.Logger
 
 	mu      sync.Mutex
 	entries map[string]*entry // gdr:guarded-by mu
@@ -260,12 +257,10 @@ func NewStore(cfg Config, reg *metrics.Registry) *Store {
 		session:     cfg.Session,
 		sched:       newSched(workers),
 		queueDepth:  cfg.QueueDepth,
-		faults:      cfg.Faults,
 		reg:         reg,
 		now:         time.Now,
-		dir:         cfg.DataDir,
+		snapDir:     snapDir{dir: cfg.DataDir, faults: cfg.Faults, log: cfg.logger()},
 		ckptEvery:   cfg.CheckpointEvery,
-		log:         cfg.logger(),
 		entries:     make(map[string]*entry),
 		janitorStop: make(chan struct{}),
 		flushStop:   make(chan struct{}),
@@ -338,8 +333,9 @@ func (s *Store) setLiveLocked() {
 	s.reg.Gauge("gdrd_sessions_live").Set(int64(n))
 }
 
-// newToken returns a 128-bit random session token.
-func newToken() (string, error) {
+// NewToken returns a 128-bit random session token: 32 lowercase hex
+// characters, the one token shape every tier accepts.
+func NewToken() (string, error) {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", fmt.Errorf("server: generating session token: %w", err)
@@ -348,7 +344,7 @@ func newToken() (string, error) {
 }
 
 // validToken reports whether an assigned token has the exact shape
-// newToken produces (32 lowercase hex characters) — anything else would
+// NewToken produces (32 lowercase hex characters) — anything else would
 // break snapshot file naming and the proxy's hash routing.
 func validToken(t string) bool {
 	if len(t) != 32 {
@@ -420,7 +416,7 @@ func (s *Store) CreateAs(ctx context.Context, tenant string, req CreateSessionRe
 			return SessionInfo{}, core.Stats{}, fmt.Errorf("%w: assigned token must be 32 lowercase hex characters", ErrBadUpload)
 		}
 	} else {
-		fresh, err := newToken()
+		fresh, err := NewToken()
 		if err != nil {
 			return SessionInfo{}, core.Stats{}, err
 		}

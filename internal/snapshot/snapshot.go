@@ -233,6 +233,22 @@ func Verify(data []byte) error {
 	return nil
 }
 
+// Watermark verifies the snapshot envelope and returns the mutation
+// sequence its meta section carries, reading that one varint instead of
+// decoding the meta (which would copy the dedup window). Version 1
+// snapshots predate the meta and read as 0.
+func Watermark(data []byte) (uint64, error) {
+	if err := Verify(data); err != nil {
+		return 0, err
+	}
+	if binary.LittleEndian.Uint16(data[4:6]) < 2 {
+		return 0, nil
+	}
+	d := &decoder{b: data[:len(data)-4], off: 6}
+	seq := d.uv()
+	return seq, d.err
+}
+
 // DecodeStateMeta parses snapshot bytes into the display name, the session
 // meta and the session state without rebuilding the session — the serving
 // tier uses this to adjust the configuration (worker clamping) before

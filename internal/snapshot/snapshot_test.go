@@ -3,7 +3,9 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"gdr/internal/core"
@@ -142,6 +144,38 @@ func TestMetaRoundTrip(t *testing.T) {
 	mut[len(mut)/2] ^= 0x41
 	if err := Verify(mut); err == nil {
 		t.Fatal("Verify accepted a corrupt snapshot")
+	}
+}
+
+// TestWatermark: the watermark reader agrees with the full meta decode at
+// every size of varint, reads a v1 snapshot as 0, and rejects what Verify
+// rejects.
+func TestWatermark(t *testing.T) {
+	st := canonicalSession(t).ExportState()
+	dedup := []DedupEntry{{ID: "req-1", Body: []byte("{}")}}
+	for _, seq := range []uint64{0, 1, 127, 128, 1 << 40, 1<<64 - 1} {
+		data, err := EncodeStateMeta("w", Meta{MutSeq: seq, Dedup: dedup}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Watermark(data); err != nil || got != seq {
+			t.Fatalf("Watermark = %d, %v; want %d", got, err, seq)
+		}
+		corrupt := append([]byte(nil), data...)
+		corrupt[len(corrupt)/2] ^= 0x41
+		if _, err := Watermark(corrupt); !errors.Is(err, ErrFormat) {
+			t.Fatalf("corrupt snapshot at seq %d: err %v, want ErrFormat", seq, err)
+		}
+	}
+	v1, err := os.ReadFile("testdata/golden_v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Watermark(v1); err != nil || got != 0 {
+		t.Fatalf("v1 Watermark = %d, %v; want 0", got, err)
+	}
+	if _, err := Watermark([]byte("GDRS")); !errors.Is(err, ErrFormat) {
+		t.Fatalf("short input: err %v, want ErrFormat", err)
 	}
 }
 
