@@ -337,6 +337,7 @@ func (p *Proxy) putReplica(ctx context.Context, node, key string, seq uint64, da
 	if err != nil {
 		return err
 	}
+	// A 200 or 409 body is closed unread, which drops the connection; that churn currently paces pushes (ARCHITECTURE "Replication").
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:

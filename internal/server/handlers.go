@@ -572,7 +572,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // committees). The same bytes re-imported via POST /v1/sessions (snapshot
 // field or multipart part) resume the session exactly, on this server or
 // another; with persistence enabled the export also lands a durable
-// checkpoint.
+// checkpoint. The file name offered is the session's key, the name its own
+// checkpoint has, so an export saved into a data directory can never give
+// its token a second file.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.session(w, r)
 	if !ok {
@@ -584,7 +586,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", e.id+snapSuffix))
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", e.key()+snapSuffix))
 	w.Header().Set("X-GDR-Snapshot-Version", strconv.Itoa(snapshot.FormatVersion))
 	// The watermark and tenant ride response headers so the cluster proxy
 	// can stamp replica pushes and preserve ownership without decoding the

@@ -2,13 +2,12 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"gdr/internal/core"
 	"gdr/internal/faultfs"
@@ -260,115 +259,104 @@ func writeAtomic(path string, data []byte, faults *faultfs.Injector, t *obs.Trac
 	return nil
 }
 
-// removeSnapshot drops a session's durable state; called when the session
-// itself is deliberately removed (explicit delete, TTL eviction), so the
-// data directory always mirrors the live session set.
-func (s *Store) removeSnapshot(e *entry) {
-	if s.dir != "" {
-		s.remove(e.key())
-	}
-}
-
-// restoreDir loads every snapshot in the data directory and registers the
-// sessions under their original tokens and owners (both encoded in the
-// key). It runs during store construction, before any traffic. Unreadable
-// or corrupt snapshots are skipped with a log line — one bad file must not
-// take the daemon down — and left in place for operator inspection.
+// restoreDir admits every session snapshot in the data directory, in key
+// order, under the token and owner its key names: each file is imported
+// through admit like an uploaded snapshot, so it meets the same token
+// check, cap and config limits. It runs during store construction, before
+// any traffic. A file that fails is skipped with a log line — one bad file
+// must not take the daemon down — and left in place for operator
+// inspection. A token that two files name (<token>.snap beside
+// <tenant>@<token>.snap) has no owner this node can trust, so neither file
+// is restored. The session cap stops the scan.
 func (s *Store) restoreDir() {
 	keys, err := s.scan()
 	if err != nil {
 		s.log.Error("scanning data dir failed", "dir", s.dir, "err", err)
 		return
 	}
+	named := make(map[string]int, len(keys)) // token → snapshot files naming it
+	for _, key := range keys {
+		_, token := splitKey(key)
+		named[token]++
+	}
+	namedTwice := errors.New("another snapshot names the same token; neither is restored")
 	restored := 0
-	// Construction is single-threaded (no janitor, flusher or traffic yet),
-	// but the map mutations take the lock anyway to keep the invariant
-	// obvious — setLiveLocked requires it.
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, key := range keys {
 		path := s.path(key)
-		if s.maxLive > 0 && len(s.entries) >= s.maxLive {
+		tenant, token := splitKey(key)
+		err := namedTwice
+		if named[token] == 1 {
+			err = s.restoreFile(path, token, tenant)
+		}
+		if errors.Is(err, ErrTooManySessions) {
 			s.log.Warn("session cap reached; not restoring", "cap", s.maxLive, "path", path)
 			break
 		}
-		tenant, token := splitKey(key)
-		e, err := s.restoreFile(token, tenant, path)
 		if err != nil {
 			s.log.Warn("skipping snapshot "+path, "err", err)
 			continue
 		}
-		s.entries[token] = e
 		restored++
 	}
-	s.setLiveLocked()
 	if len(keys) > 0 {
 		s.log.Info("restored sessions", "count", restored, "dir", s.dir)
 	}
 	s.reg.Counter("gdrd_sessions_restored_total").Add(int64(restored))
 }
 
-// restoreFile rebuilds one session from its snapshot file.
-func (s *Store) restoreFile(token, tenant, path string) (*entry, error) {
+// restoreFile admits one session from its snapshot file and marks it
+// durable at the watermark the file holds, which admit also seeded the
+// live sequence from: the file is the session's checkpoint, so it is not
+// rewritten, and a restored session does not restart at 0, where its
+// replica pushes would read as stale.
+func (s *Store) restoreFile(path, token, tenant string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	name, meta, st, err := snapshot.DecodeStateMeta(data)
+	r, err := s.importBuild(CreateSessionRequest{Snapshot: data})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The snapshot may come from a server with a larger worker budget.
-	st.Config.Workers = s.sched.clampSlots(st.Config.Workers)
-	sess, err := core.RestoreSession(st)
+	e, _, err := s.admit(context.Background(), token, tenant, r)
 	if err != nil {
-		return nil, fmt.Errorf("restoring session: %w", err)
+		return err
 	}
-	e := s.newEntry(sess, token, name, tenant, st.Config.Workers)
-	// The on-disk state is exactly what we restored: durable at the
-	// snapshot's own watermark, which also seeds the live sequence — a
-	// restored session must not restart at 0, or its replica pushes would
-	// read as stale. The entry is unpublished, so no lock is needed.
-	e.mutSeq.Store(meta.MutSeq)
-	e.dedup.restore(meta.Dedup)
-	//lint:ignore guardedby pre-publication write: no other goroutine can hold a reference to e yet
-	e.hasDurable = true
-	//lint:ignore guardedby pre-publication write: no other goroutine can hold a reference to e yet
-	e.durableMut = meta.MutSeq
-	return e, nil
+	e.markDurable(r.meta.MutSeq)
+	return nil
 }
 
-// flusher periodically re-checkpoints sessions whose synchronous write
-// failed (the dirty flag survives a failed Checkpoint), so a transient
-// disk error does not leave a session undurable forever. Repeatedly
-// failing sessions back off exponentially (see entry.ckptFailed) instead
-// of hammering a sick disk every tick.
-func (s *Store) flusher() {
-	defer s.flushWG.Done()
-	tick := time.NewTicker(s.ckptEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			now := s.now()
-			s.mu.Lock()
-			dirty := make([]*entry, 0, len(s.entries))
-			for _, e := range s.entries {
-				if e != nil && e.isDirty() && e.retryDue(now) {
-					dirty = append(dirty, e)
-				}
-			}
-			s.mu.Unlock()
-			// The dirty set was harvested in map order; checkpoint in id
-			// order so the flush sequence is reproducible.
-			sort.Slice(dirty, func(i, j int) bool { return dirty[i].id < dirty[j].id })
-			for _, e := range dirty {
-				if err := s.Checkpoint(context.Background(), e); err != nil {
-					s.log.Warn("periodic checkpoint failed", "session", e.id, "err", err)
-				}
-			}
-		case <-s.flushStop:
-			return
+// flushDue is the flusher's tick. It re-checkpoints the sessions whose
+// synchronous write failed (the dirty flag survives a failed Checkpoint),
+// so a transient disk error does not leave a session undurable forever.
+// Repeatedly failing sessions back off exponentially (see
+// entry.ckptFailed) instead of hammering a sick disk every tick.
+func (s *Store) flushDue() {
+	now := s.now()
+	s.mu.Lock()
+	due := make([]*entry, 0, len(s.entries))
+	for _, e := range s.entries {
+		if e.isDirty() && e.retryDue(now) {
+			due = append(due, e)
+		}
+	}
+	s.mu.Unlock()
+	// The dirty set was harvested in map order; checkpoint in token order
+	// so the flush sequence is reproducible.
+	sort.Slice(due, func(i, j int) bool { return due[i].id < due[j].id })
+	s.flush(due, "periodic checkpoint failed")
+}
+
+// flush checkpoints, in the order given, each session that still has
+// undurable state, logging a failure as msg. The flusher and the drain
+// share it; each sorts what it passes.
+func (s *Store) flush(es []*entry, msg string) {
+	for _, e := range es {
+		if !e.isDirty() {
+			continue
+		}
+		if err := s.Checkpoint(context.Background(), e); err != nil {
+			s.log.Warn(msg, "session", e.id, "err", err)
 		}
 	}
 }

@@ -335,7 +335,8 @@ func TestReplicaStoreRacingPushesPullsDrops(t *testing.T) {
 
 // FuzzReplicaPut throws arbitrary keys, watermarks, and bodies at the
 // replica PUT handler: it must never panic, never 5xx, and never store a
-// body that fails envelope verification.
+// body that fails envelope verification. The keys "." and ".." never reach
+// the handler (see below) and must store nothing.
 func FuzzReplicaPut(f *testing.F) {
 	valid, err := snapshot.EncodeStateMeta("fuzz", snapshot.Meta{MutSeq: 1}, mustFigure1State(f))
 	if err != nil {
@@ -347,6 +348,8 @@ func FuzzReplicaPut(f *testing.F) {
 	f.Add("t@"+replicaTestToken, "2", corrupt)
 	f.Add("nonsense", "x", []byte("GDRS"))
 	f.Add(replicaTestToken, "18446744073709551615", []byte{})
+	f.Add(".", "1", valid)
+	f.Add("..", "1", valid)
 
 	srv := New(Config{ClusterMode: true})
 	f.Cleanup(srv.Close)
@@ -356,16 +359,24 @@ func FuzzReplicaPut(f *testing.F) {
 		if key == "" || len(key) > 256 {
 			return
 		}
-		// Escape so any key is routable as one path segment; the mux hands
-		// the handler the decoded value.
+		// Escape so the key travels as one path segment; the mux hands the
+		// handler the decoded value. PathEscape leaves dots alone, so the
+		// keys "." and ".." arrive as dot segments, which the mux cleans
+		// out of the path with a 301 before any handler runs.
+		dotSegment := key == "." || key == ".."
 		req := httptest.NewRequest("PUT", "/v1/replicas/"+url.PathEscape(key), bytes.NewReader(body))
 		req.Header.Set(MutationSeqHeader, seq)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		switch rec.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusNotFound:
+		switch {
+		case rec.Code == http.StatusMovedPermanently && dotSegment:
+		case rec.Code == http.StatusOK, rec.Code == http.StatusBadRequest,
+			rec.Code == http.StatusConflict, rec.Code == http.StatusNotFound:
 		default:
 			t.Fatalf("PUT key=%q seq=%q: status %d", key, seq, rec.Code)
+		}
+		if _, _, ok := srv.replicas.get(key); ok && dotSegment {
+			t.Fatalf("a replica is stored under the key %q", key)
 		}
 		if rec.Code == http.StatusOK {
 			// Whatever was accepted must verify — pull it back and check.

@@ -38,6 +38,15 @@
 // rename. A replica's watermark is the one its snapshot carries. The boot
 // scan loads only well-formed keys and deletes the temp files a crash left.
 //
+// A session has one way into the store and one way out. Upload, snapshot
+// import and boot restore all enter through one admit step (token and cap
+// reservation, a build under CPU slots, publication at the snapshot's
+// watermark), so a file restored at boot meets the same token check, cap
+// and config limits as an upload; a token that two files name is restored
+// from neither. Delete, lazy eviction and the janitor all leave through
+// one retire step, and one background goroutine runs the janitor and the
+// checkpoint flusher.
+//
 // With Config.Tenants set, the server is multi-tenant: requests authenticate
 // with per-tenant bearer keys, sessions are owned by (and visible to only)
 // their tenant, and each tenant is admission-controlled by a token-bucket

@@ -29,6 +29,11 @@ import (
 // the persistence tier: it checkpoints sessions to disk, restores them on
 // construction, and flushes a final checkpoint of every live session on
 // Close.
+//
+// A session has one way in and one way out. Upload, import and boot
+// restore all enter through admit; delete, lazy eviction and the janitor
+// all leave through retire. One background goroutine runs the janitor and
+// the checkpoint flusher.
 type Store struct {
 	ttl        time.Duration
 	maxLive    int
@@ -44,14 +49,13 @@ type Store struct {
 	snapDir
 	ckptEvery time.Duration
 
-	mu      sync.Mutex
-	entries map[string]*entry // gdr:guarded-by mu
-	closed  bool              // gdr:guarded-by mu
+	mu       sync.Mutex
+	entries  map[string]*entry   // gdr:guarded-by mu — live sessions only
+	building map[string]struct{} // gdr:guarded-by mu — tokens reserved by an admit still building
+	closed   bool                // gdr:guarded-by mu
 
-	janitorStop chan struct{}
-	janitorWG   sync.WaitGroup
-	flushStop   chan struct{}
-	flushWG     sync.WaitGroup
+	stop    chan struct{} // closed by Close: ends the background loop
+	stopped chan struct{} // closed when the background loop has returned
 }
 
 // entry is one live session: its actor, immutable metadata, and the
@@ -185,6 +189,14 @@ func (e *entry) markUndurable() {
 	e.ckptMu.Unlock()
 }
 
+// markDurable records that the on-disk snapshot holds the session at
+// watermark mut: a restored session's file is its checkpoint.
+func (e *entry) markDurable(mut uint64) {
+	e.ckptMu.Lock()
+	e.durableMut, e.hasDurable = mut, true
+	e.ckptMu.Unlock()
+}
+
 // ckptFailed records one failed checkpoint and schedules the flusher's next
 // attempt: base spacing doubles per consecutive failure, capped at 32×.
 func (e *entry) ckptFailed(now time.Time, base time.Duration) {
@@ -245,63 +257,69 @@ func (e *entry) info(ttl time.Duration) SessionInfo {
 // session cap, worker budget, per-session defaults, persistence settings).
 // reg receives the store's gauges and counters. When cfg.DataDir is set,
 // every existing snapshot in it is restored before the store starts
-// serving, and the periodic checkpoint flusher is started.
+// serving, and the background loop starts.
 func NewStore(cfg Config, reg *metrics.Registry) *Store {
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
 	s := &Store{
-		ttl:         cfg.TTL,
-		maxLive:     cfg.MaxSessions,
-		session:     cfg.Session,
-		sched:       newSched(workers),
-		queueDepth:  cfg.QueueDepth,
-		reg:         reg,
-		now:         time.Now,
-		snapDir:     snapDir{dir: cfg.DataDir, faults: cfg.Faults, log: cfg.logger()},
-		ckptEvery:   cfg.CheckpointEvery,
-		entries:     make(map[string]*entry),
-		janitorStop: make(chan struct{}),
-		flushStop:   make(chan struct{}),
+		ttl:        cfg.TTL,
+		maxLive:    cfg.MaxSessions,
+		session:    cfg.Session,
+		sched:      newSched(workers),
+		queueDepth: cfg.QueueDepth,
+		reg:        reg,
+		now:        time.Now,
+		snapDir:    snapDir{dir: cfg.DataDir, faults: cfg.Faults, log: cfg.logger()},
+		ckptEvery:  cfg.CheckpointEvery,
+		entries:    make(map[string]*entry),
+		building:   make(map[string]struct{}),
+		stop:       make(chan struct{}),
+		stopped:    make(chan struct{}),
 	}
 	if s.dir != "" {
 		s.restoreDir()
-		s.flushWG.Add(1)
-		go s.flusher()
 	}
-	interval := cfg.TTL / 4
-	if interval < time.Second {
-		interval = time.Second
+	evictEvery := cfg.TTL / 4
+	if evictEvery < time.Second {
+		evictEvery = time.Second
 	}
-	s.janitorWG.Add(1)
-	go s.janitor(interval)
+	go s.run(evictEvery)
 	return s
 }
 
-func (s *Store) janitor(interval time.Duration) {
-	defer s.janitorWG.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
+// run is the store's one background goroutine until Close: the janitor
+// evicts idle sessions every evictEvery and, with a data directory, the
+// flusher retries dirty checkpoints every ckptEvery.
+func (s *Store) run(evictEvery time.Duration) {
+	defer close(s.stopped)
+	janitor := time.NewTicker(evictEvery)
+	defer janitor.Stop()
+	var flusher <-chan time.Time // nil without a data directory: never fires
+	if s.dir != "" {
+		tick := time.NewTicker(s.ckptEvery)
+		defer tick.Stop()
+		flusher = tick.C
+	}
 	for {
 		select {
-		case <-tick.C:
+		case <-janitor.C:
 			s.evictIdle()
-		case <-s.janitorStop:
+		case <-flusher:
+			s.flushDue()
+		case <-s.stop:
 			return
 		}
 	}
 }
 
-// evictIdle removes every session idle for longer than the TTL.
+// evictIdle retires every session idle for longer than the TTL.
 func (s *Store) evictIdle() {
 	deadline := s.now().Add(-s.ttl)
 	var victims []*entry
 	s.mu.Lock()
 	for id, e := range s.entries {
-		if e == nil {
-			continue // cap reservation: a Create is mid-build
-		}
 		if e.evictable(deadline) {
 			delete(s.entries, id)
 			victims = append(victims, e)
@@ -309,12 +327,24 @@ func (s *Store) evictIdle() {
 	}
 	s.setLiveLocked()
 	s.mu.Unlock()
-	// Victims were harvested in map order; evict oldest-idle first so the
-	// teardown sequence (and its log/metric trail) is reproducible.
+	// Victims were harvested in map order; retire them in token order so
+	// the teardown sequence (and its log/metric trail) is reproducible.
 	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
 	for _, e := range victims {
-		e.actor.close()
-		s.removeSnapshot(e)
+		s.retire(e, true)
+	}
+}
+
+// retire is the one way a session leaves the store, once its caller has
+// taken it out of entries: its turn closes (the command in flight
+// finishes, every waiter fails), its snapshot file goes, so the data
+// directory mirrors the live set, and an eviction is counted.
+func (s *Store) retire(e *entry, evicted bool) {
+	e.actor.close()
+	if s.dir != "" {
+		s.remove(e.key())
+	}
+	if evicted {
 		s.reg.Counter("gdrd_sessions_evicted_total").Inc()
 	}
 }
@@ -324,13 +354,7 @@ func (s *Store) evictIdle() {
 // concurrent mutations land their Sets out of order and strand a stale
 // value.
 func (s *Store) setLiveLocked() {
-	n := 0
-	for _, e := range s.entries {
-		if e != nil {
-			n++
-		}
-	}
-	s.reg.Gauge("gdrd_sessions_live").Set(int64(n))
+	s.reg.Gauge("gdrd_sessions_live").Set(int64(len(s.entries)))
 }
 
 // NewToken returns a 128-bit random session token: 32 lowercase hex
@@ -375,123 +399,38 @@ func (s *Store) Create(ctx context.Context, req CreateSessionRequest) (SessionIn
 	return s.CreateAs(ctx, "", req)
 }
 
-// CreateAs builds and registers a session under a fresh token, owned by the
-// given tenant tag ("" = unowned), from either an uploaded CSV instance
-// plus rule set, or an exported snapshot (restore-on-create). Construction
-// holds CPU slots matching the session's fan-out — acquired fairly against
-// the owning tenant, so one tenant's create burst cannot freeze everyone's
-// feedback — with the upload path running the initial suggestion pass and
-// the snapshot path rebuilding the violation engine and retraining
-// committees. It fails with ErrTooManySessions when the live cap is
-// reached, and honors ctx while waiting for CPU slots — a caller that gives
-// up does not leave an orphan session pinning the cap.
+// CreateAs builds and registers a session under a fresh token (or the one
+// req assigns), owned by the given tenant tag ("" = unowned), from either
+// an uploaded CSV instance plus rule set, or an exported snapshot
+// (restore-on-create), and checkpoints it at once. The upload path runs the
+// initial suggestion pass; the snapshot path rebuilds the violation engine
+// and retrains committees. Either way the session enters through admit.
 func (s *Store) CreateAs(ctx context.Context, tenant string, req CreateSessionRequest) (SessionInfo, core.Stats, error) {
-	var build func() (*core.Session, error)
-	var workers int
-	var meta snapshot.Meta
-	name := req.Name
+	var r recipe
+	var err error
 	if len(req.Snapshot) > 0 {
-		b, w, n, m, err := s.importBuild(req)
-		if err != nil {
-			return SessionInfo{}, core.Stats{}, err
-		}
-		build, workers, meta = b, w, m
-		if name == "" {
-			name = n
-		}
+		r, err = s.importBuild(req)
 	} else {
-		b, w, err := s.uploadBuild(req)
-		if err != nil {
-			return SessionInfo{}, core.Stats{}, err
-		}
-		build, workers = b, w
+		r, err = s.uploadBuild(req)
 	}
-
-	// Reserve the slot in the cap before the expensive build, so a burst
-	// of concurrent creates cannot overshoot it; the reservation is rolled
-	// back if the build fails.
-	token := req.Token
-	if token != "" {
-		if !validToken(token) {
-			return SessionInfo{}, core.Stats{}, fmt.Errorf("%w: assigned token must be 32 lowercase hex characters", ErrBadUpload)
-		}
-	} else {
-		fresh, err := NewToken()
-		if err != nil {
-			return SessionInfo{}, core.Stats{}, err
-		}
-		token = fresh
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return SessionInfo{}, core.Stats{}, ErrSessionClosed
-	}
-	if held, exists := s.entries[token]; exists {
-		// Random tokens never collide; a pre-assigned one may — the proxy's
-		// migration dedup depends on this conflict being reported, not
-		// silently clobbering the live session, and on the live copy's
-		// watermark (none while that copy is still being built).
-		s.mu.Unlock()
-		if held != nil {
-			return SessionInfo{}, core.Stats{}, tokenInUseError{seq: held.mutSeq.Load()}
-		}
-		return SessionInfo{}, core.Stats{}, ErrTokenInUse
-	}
-	if s.maxLive > 0 && len(s.entries) >= s.maxLive {
-		s.mu.Unlock()
-		return SessionInfo{}, core.Stats{}, ErrTooManySessions
-	}
-	s.entries[token] = nil // reservation
-	s.mu.Unlock()
-	rollback := func() {
-		s.mu.Lock()
-		delete(s.entries, token)
-		s.mu.Unlock()
-	}
-
-	// Construction runs with workers-way fan-out, so it must hold that many
-	// slots — the same accounting the actors enforce — or concurrent builds
-	// would overshoot the CPU budget and starve live sessions' commands.
-	// The wait is a root slot span, as an actor command's is.
-	slotStart := time.Now()
-	if err := s.sched.acquire(ctx, tenant, workers); err != nil {
-		rollback()
-		return SessionInfo{}, core.Stats{}, errExpiredQueued()
-	}
-	obs.FromContext(ctx).RecordSince("slot", "", slotStart)
-	sess, err := build()
-	s.sched.release(tenant, workers)
 	if err != nil {
-		rollback()
-		return SessionInfo{}, core.Stats{}, fmt.Errorf("%w: %v", ErrBadUpload, err)
+		return SessionInfo{}, core.Stats{}, err
 	}
-	if ctx.Err() != nil {
-		// The client vanished mid-build: registering the session anyway
-		// would pin a cap slot under a token nobody holds, until the TTL.
-		rollback()
-		return SessionInfo{}, core.Stats{}, ctx.Err()
+	if req.Name != "" {
+		r.name = req.Name
 	}
-
-	e := s.newEntry(sess, token, name, tenant, workers)
-	// An imported snapshot carries its mutation watermark and dedup window;
-	// the entry is unpublished and its actor quiescent, so these restores
-	// race nothing. Without them a migrated session would restart at
-	// sequence 0 and the proxy would take its next replica push for stale.
-	e.mutSeq.Store(meta.MutSeq)
-	e.dedup.restore(meta.Dedup)
-	//lint:ignore actorconfine construction-time read: the actor was just created and has processed nothing, so the session is still quiescent
-	st := sess.Stats()
-	s.mu.Lock()
-	if s.closed {
-		delete(s.entries, token)
-		s.mu.Unlock()
-		e.actor.close()
-		return SessionInfo{}, core.Stats{}, ErrSessionClosed
+	token := req.Token
+	if token == "" {
+		if token, err = NewToken(); err != nil {
+			return SessionInfo{}, core.Stats{}, err
+		}
+	} else if !validToken(token) {
+		return SessionInfo{}, core.Stats{}, fmt.Errorf("%w: assigned token must be 32 lowercase hex characters", ErrBadUpload)
 	}
-	s.entries[token] = e
-	s.setLiveLocked()
-	s.mu.Unlock()
+	e, st, err := s.admit(ctx, token, tenant, r)
+	if err != nil {
+		return SessionInfo{}, core.Stats{}, err
+	}
 	s.reg.Counter("gdrd_sessions_created_total").Inc()
 	// Make the newborn durable right away: a crash between creation and the
 	// first feedback must not lose the upload. (A fresh entry has no
@@ -503,22 +442,122 @@ func (s *Store) CreateAs(ctx context.Context, tenant string, req CreateSessionRe
 	return e.info(s.ttl), st, nil
 }
 
-// uploadBuild validates a CSV + rules upload and returns the session
-// constructor for it, plus the worker fan-out it will hold while building.
-func (s *Store) uploadBuild(req CreateSessionRequest) (build func() (*core.Session, error), workers int, err error) {
+// recipe is a validated session source, ready to admit: the constructor,
+// the worker fan-out the session builds and runs with, its name, and the
+// watermark and dedup window an imported snapshot carries (zero for an
+// upload).
+type recipe struct {
+	build   func() (*core.Session, error)
+	workers int
+	name    string
+	meta    snapshot.Meta
+}
+
+// admit is the one way a session enters the store: upload, import and boot
+// restore all come through it. It reserves token and a place under the
+// cap, builds the session while holding r.workers CPU slots — acquired
+// fairly against the owning tenant, so one tenant's create burst cannot
+// freeze everyone's feedback — and publishes it at the watermark and dedup
+// window r carries. It honors ctx while waiting for CPU slots and checks it
+// after the build: a caller that gives up does not leave an orphan session
+// pinning the cap.
+func (s *Store) admit(ctx context.Context, token, tenant string, r recipe) (*entry, core.Stats, error) {
+	if err := s.reserve(token); err != nil {
+		return nil, core.Stats{}, err
+	}
+	unreserve := func() {
+		s.mu.Lock()
+		delete(s.building, token)
+		s.mu.Unlock()
+	}
+
+	// Construction runs with workers-way fan-out, so it must hold that many
+	// slots — the same accounting the actors enforce — or concurrent builds
+	// would overshoot the CPU budget and starve live sessions' commands.
+	// The wait is a root slot span, as an actor command's is.
+	slotStart := time.Now()
+	if err := s.sched.acquire(ctx, tenant, r.workers); err != nil {
+		unreserve()
+		return nil, core.Stats{}, errExpiredQueued()
+	}
+	obs.FromContext(ctx).RecordSince("slot", "", slotStart)
+	sess, err := r.build()
+	s.sched.release(tenant, r.workers)
+	if err != nil {
+		unreserve()
+		return nil, core.Stats{}, fmt.Errorf("%w: %v", ErrBadUpload, err)
+	}
+	if ctx.Err() != nil {
+		// The client vanished mid-build: registering the session anyway
+		// would pin a cap slot under a token nobody holds, until the TTL.
+		unreserve()
+		return nil, core.Stats{}, ctx.Err()
+	}
+
+	e := s.newEntry(sess, token, r.name, tenant, r.workers)
+	// A snapshot carries its mutation watermark and dedup window; the entry
+	// is unpublished and its turn unused, so these restores race nothing.
+	// Without them a restored or migrated session would restart at
+	// sequence 0 and the proxy would take its next replica push for stale.
+	e.mutSeq.Store(r.meta.MutSeq)
+	e.dedup.restore(r.meta.Dedup)
+	//lint:ignore actorconfine construction-time read: the actor was just created and has processed nothing, so the session is still quiescent
+	st := sess.Stats()
+	s.mu.Lock()
+	delete(s.building, token)
+	if s.closed {
+		s.mu.Unlock()
+		e.actor.close()
+		return nil, core.Stats{}, ErrSessionClosed
+	}
+	s.entries[token] = e
+	s.setLiveLocked()
+	s.mu.Unlock()
+	return e, st, nil
+}
+
+// reserve claims token and a place under the cap for a session about to be
+// built, before the expensive build, so a burst of concurrent admits
+// cannot overshoot the cap. A reservation counts against the cap but is no
+// live session: lookups, lists and eviction never see it.
+func (s *Store) reserve(token string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
+	}
+	// Random tokens never collide; an assigned one may. The proxy's
+	// migration dedup depends on this conflict being reported, not silently
+	// clobbering the live session, and on the live copy's watermark (none
+	// while that copy is still being built).
+	if e, live := s.entries[token]; live {
+		return tokenInUseError{seq: e.mutSeq.Load()}
+	}
+	if _, held := s.building[token]; held {
+		return ErrTokenInUse
+	}
+	if s.maxLive > 0 && len(s.entries)+len(s.building) >= s.maxLive {
+		return ErrTooManySessions
+	}
+	s.building[token] = struct{}{}
+	return nil
+}
+
+// uploadBuild validates a CSV + rules upload and returns its recipe.
+func (s *Store) uploadBuild(req CreateSessionRequest) (recipe, error) {
 	if strings.TrimSpace(req.CSV) == "" {
-		return nil, 0, fmt.Errorf("%w: empty csv", ErrBadUpload)
+		return recipe{}, fmt.Errorf("%w: empty csv", ErrBadUpload)
 	}
 	db, err := relation.ReadCSV(strings.NewReader(req.CSV), "upload")
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadUpload, err)
+		return recipe{}, fmt.Errorf("%w: %v", ErrBadUpload, err)
 	}
 	rules, err := cfd.Parse(strings.NewReader(req.Rules))
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadUpload, err)
+		return recipe{}, fmt.Errorf("%w: %v", ErrBadUpload, err)
 	}
 	if len(rules) == 0 {
-		return nil, 0, fmt.Errorf("%w: empty rule set", ErrBadUpload)
+		return recipe{}, fmt.Errorf("%w: empty rule set", ErrBadUpload)
 	}
 	cfg := s.session
 	if req.Seed != 0 {
@@ -530,33 +569,35 @@ func (s *Store) uploadBuild(req CreateSessionRequest) (build func() (*core.Sessi
 	// Clamp the session's actual fan-out, not just its slot accounting:
 	// a session must never run wider than the budget it can hold.
 	cfg.Workers = s.sched.clampSlots(cfg.Workers)
-	return func() (*core.Session, error) { return core.NewSession(db, rules, cfg) }, cfg.Workers, nil
+	build := func() (*core.Session, error) { return core.NewSession(db, rules, cfg) }
+	return recipe{build: build, workers: cfg.Workers}, nil
 }
 
-// importBuild validates a snapshot upload (restore-on-create) and returns
-// the session constructor for it. The snapshot carries the session's own
-// configuration; only Workers may be overridden (clamped to the budget
-// either way), because overriding Seed would desynchronize the restored
-// session's recorded randomness from its state.
-func (s *Store) importBuild(req CreateSessionRequest) (build func() (*core.Session, error), workers int, name string, meta snapshot.Meta, err error) {
+// importBuild validates a snapshot upload (restore-on-create, or a boot
+// restore of a checkpoint file) and returns its recipe. The snapshot
+// carries the session's own configuration; only Workers may be overridden
+// (clamped to the budget either way), because overriding Seed would
+// desynchronize the restored session's recorded randomness from its state.
+func (s *Store) importBuild(req CreateSessionRequest) (recipe, error) {
 	if strings.TrimSpace(req.CSV) != "" || strings.TrimSpace(req.Rules) != "" {
-		return nil, 0, "", meta, fmt.Errorf("%w: a snapshot upload cannot also carry csv or rules", ErrBadUpload)
+		return recipe{}, fmt.Errorf("%w: a snapshot upload cannot also carry csv or rules", ErrBadUpload)
 	}
 	if req.Seed != 0 {
-		return nil, 0, "", meta, fmt.Errorf("%w: seed cannot be overridden when restoring a snapshot", ErrBadUpload)
+		return recipe{}, fmt.Errorf("%w: seed cannot be overridden when restoring a snapshot", ErrBadUpload)
 	}
 	name, meta, st, err := snapshot.DecodeStateMeta(req.Snapshot)
 	if err != nil {
-		return nil, 0, "", meta, fmt.Errorf("%w: %v", ErrBadUpload, err)
+		return recipe{}, fmt.Errorf("%w: %v", ErrBadUpload, err)
 	}
 	if err := validateImportConfig(st.Config); err != nil {
-		return nil, 0, "", meta, err
+		return recipe{}, err
 	}
 	if req.Workers > 0 {
 		st.Config.Workers = req.Workers
 	}
 	st.Config.Workers = s.sched.clampSlots(st.Config.Workers)
-	return func() (*core.Session, error) { return core.RestoreSession(st) }, st.Config.Workers, name, meta, nil
+	build := func() (*core.Session, error) { return core.RestoreSession(st) }
+	return recipe{build: build, workers: st.Config.Workers, name: name, meta: meta}, nil
 }
 
 // validateImportConfig bounds the session configuration arriving inside an
@@ -606,11 +647,7 @@ func (s *Store) Get(id string) (*entry, bool) {
 func (s *Store) GetFor(id, owner string) (*entry, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[id]
-	if !ok || e == nil { // unknown, or still being built
-		s.mu.Unlock()
-		return nil, false
-	}
-	if !e.visibleTo(owner) {
+	if !ok || !e.visibleTo(owner) {
 		s.mu.Unlock()
 		return nil, false
 	}
@@ -619,9 +656,7 @@ func (s *Store) GetFor(id, owner string) (*entry, bool) {
 		delete(s.entries, id)
 		s.setLiveLocked()
 		s.mu.Unlock()
-		e.actor.close()
-		s.removeSnapshot(e)
-		s.reg.Counter("gdrd_sessions_evicted_total").Inc()
+		s.retire(e, true)
 		return nil, false
 	}
 	// Touch before releasing s.mu: a janitor tick between unlock and touch
@@ -637,21 +672,19 @@ func (s *Store) Delete(id string) bool {
 	return s.DeleteFor(id, "")
 }
 
-// DeleteFor removes a session visible to the caller and stops its actor; it
-// reports whether such a session was live (an invisible one reads as
-// missing, like GetFor).
+// DeleteFor retires a session visible to the caller; it reports whether
+// such a session was live (an invisible one reads as missing, like GetFor).
 func (s *Store) DeleteFor(id, owner string) bool {
 	s.mu.Lock()
 	e, ok := s.entries[id]
-	if !ok || e == nil || !e.visibleTo(owner) {
+	if !ok || !e.visibleTo(owner) {
 		s.mu.Unlock()
 		return false
 	}
 	delete(s.entries, id)
 	s.setLiveLocked()
 	s.mu.Unlock()
-	e.actor.close()
-	s.removeSnapshot(e)
+	s.retire(e, false)
 	return true
 }
 
@@ -666,10 +699,9 @@ func (s *Store) ListFor(owner string) []SessionInfo {
 	s.mu.Lock()
 	out := make([]SessionInfo, 0, len(s.entries))
 	for _, e := range s.entries {
-		if e == nil || !e.visibleTo(owner) {
-			continue
+		if e.visibleTo(owner) {
+			out = append(out, e.info(s.ttl))
 		}
-		out = append(out, e.info(s.ttl))
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -685,19 +717,14 @@ func (s *Store) ListFor(owner string) []SessionInfo {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.entries {
-		if e != nil {
-			n++
-		}
-	}
-	return n
+	return len(s.entries)
 }
 
-// Close stops the janitor and the checkpoint flusher, flushes a final
-// checkpoint of every live session that still has undurable state (so a
-// graceful drain never loses feedback), then stops every actor, draining
-// in-flight commands. New creates and lookups fail afterwards.
+// Close stops the background loop, flushes a final checkpoint of every
+// live session that still has undurable state (so a graceful drain never
+// loses feedback), then closes every session's turn, draining in-flight
+// commands. New creates and lookups fail afterwards; an admit still
+// building discards its session when it finds the store closed.
 func (s *Store) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -706,33 +733,21 @@ func (s *Store) Close() {
 	}
 	s.closed = true
 	victims := make([]*entry, 0, len(s.entries))
-	for id, e := range s.entries {
-		delete(s.entries, id)
-		if e != nil {
-			victims = append(victims, e)
-		}
+	for _, e := range s.entries {
+		victims = append(victims, e)
 	}
+	clear(s.entries)
 	s.setLiveLocked()
 	s.mu.Unlock()
 	// Map-order harvest; sort so the final-checkpoint and shutdown sequence
 	// is reproducible across runs.
 	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
-	close(s.janitorStop)
-	s.janitorWG.Wait()
-	if s.dir != "" {
-		close(s.flushStop)
-		s.flushWG.Wait()
-		for _, e := range victims {
-			// The actor is still live here, so the final encode sees the
-			// session's last state; errors are logged, not fatal — the
-			// session is going away either way.
-			if e.isDirty() {
-				if err := s.Checkpoint(context.Background(), e); err != nil {
-					s.log.Warn("final checkpoint failed", "session", e.id, "err", err)
-				}
-			}
-		}
-	}
+	close(s.stop)
+	<-s.stopped
+	// The turns are still open here, so the final encode sees each
+	// session's last state; errors are logged, not fatal — the session is
+	// going away either way.
+	s.flush(victims, "final checkpoint failed")
 	for _, e := range victims {
 		e.actor.close()
 	}

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -82,31 +85,75 @@ func TestStoreJanitorEvicts(t *testing.T) {
 	}
 }
 
-// TestJanitorSkipsCreateReservations pins the eviction pass against the
-// nil placeholder a mid-build Create leaves in the map: a janitor tick
-// during a slow upload must not panic.
+// TestJanitorSkipsCreateReservations: a create that is mid-build holds a
+// reservation, not a session. The janitor, Len and List do not see it; a
+// second create for its assigned token gets 409 with no watermark, since
+// there is no live copy to report; and the reservation counts against the
+// cap. The build is held mid-way by taking every CPU slot of the store's
+// scheduler.
 func TestJanitorSkipsCreateReservations(t *testing.T) {
-	st, clk := newTestStore(t, time.Minute, 0)
-	if _, _, err := st.Create(context.Background(), fig1Request()); err != nil {
+	srv, ts := newTestServer(t, Config{ClusterMode: true, TTL: time.Minute, MaxSessions: 2, Workers: 2, Session: core.Config{Workers: 1}})
+	st := srv.Store()
+	clk := &fakeClock{t: time.Unix(1700000000, 0)}
+	st.now = clk.now
+	idle := createFigure1Session(t, ts).Session.ID
+
+	slots := st.sched.capacity
+	if err := st.sched.acquire(context.Background(), "hog", slots); err != nil {
 		t.Fatal(err)
 	}
-	st.mu.Lock()
-	st.entries["mid-build-reservation"] = nil
-	st.mu.Unlock()
+	release := sync.OnceFunc(func() { st.sched.release("hog", slots) })
+	defer release() // a failing test must not leave the held create blocking shutdown
+	token := strings.Repeat("f00d", 8)
+	create := func(token string) (int, string) {
+		body, _ := json.Marshal(fig1Request())
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/sessions", bytes.NewReader(body))
+		req.Header.Set(AssignTokenHeader, token)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0, ""
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get(MutationSeqHeader)
+	}
+	built := make(chan int, 1)
+	go func() {
+		code, _ := create(token)
+		built <- code
+	}()
+	for {
+		st.mu.Lock()
+		_, reserved := st.building[token]
+		st.mu.Unlock()
+		if reserved {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if code, seq := create(token); code != http.StatusConflict || seq != "" {
+		t.Fatalf("create for a token still building: code %d, watermark %q; want 409 and none", code, seq)
+	}
+	if code, _ := create(strings.Repeat("0", 32)); code != http.StatusTooManyRequests {
+		t.Fatalf("create beside one live session and one reservation under a cap of 2: code %d, want 429", code)
+	}
 	clk.advance(5 * time.Minute)
-	st.evictIdle() // must not deref the nil reservation
-	if st.Len() != 0 {
-		t.Fatal("real idle session survived the pass")
+	st.evictIdle()
+	if st.Len() != 0 || len(st.List()) != 0 {
+		t.Fatalf("after the janitor: Len %d, List %v; want the idle session gone and the reservation unseen", st.Len(), st.List())
 	}
-	st.mu.Lock()
-	_, stillThere := st.entries["mid-build-reservation"]
-	st.mu.Unlock()
-	if !stillThere {
-		t.Fatal("reservation must survive eviction (its Create will resolve it)")
+	if _, ok := st.Get(idle); ok {
+		t.Fatal("the idle session survived the janitor")
 	}
-	st.mu.Lock()
-	delete(st.entries, "mid-build-reservation")
-	st.mu.Unlock()
+
+	release()
+	if code := <-built; code != http.StatusCreated {
+		t.Fatalf("the held create: code %d, want 201", code)
+	}
+	if list := st.List(); len(list) != 1 || list[0].ID != token {
+		t.Fatalf("after the build: List %v, want only %s", list, token)
+	}
 }
 
 func TestStoreCap(t *testing.T) {
