@@ -80,8 +80,7 @@ func (p *Proxy) checkAll() {
 			if !st.dead && st.fails >= p.cfg.FailAfter {
 				died = true
 				st.dead = true
-				if st.live {
-					st.live = false
+				if p.ring.Has(node) {
 					p.ring = p.ring.Remove(node)
 					p.markSettlingLocked()
 				}
@@ -167,7 +166,7 @@ func (p *Proxy) admit(ctx context.Context, node string, revival bool) error {
 	st.dead = false
 	st.fails, st.succs = 0, 0
 	if !revival || !st.drained {
-		st.live, st.drained = true, false
+		st.drained = false
 		p.ring = p.ring.Add(node)
 		p.markSettlingLocked()
 	}
@@ -176,20 +175,17 @@ func (p *Proxy) admit(ctx context.Context, node string, revival bool) error {
 }
 
 // probe is one health check; any 200 /healthz within the cadence counts.
+// It sends no Authorization: /healthz is open on every node.
 func (p *Proxy) probe(node string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthEvery)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := p.client.Do(req)
+	resp, err := p.call(ctx, http.MethodGet, node+"/healthz", "", nil, nil, http.StatusOK)
 	if err != nil {
 		return false
 	}
 	// Closed unread, this drops the connection; that churn currently paces pushes (ARCHITECTURE "Replication").
 	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return true
 }
 
 // AddNode grows the ring by one live node and rebalances sessions onto it.
@@ -227,7 +223,6 @@ func (p *Proxy) RemoveNode(ctx context.Context, node string) error {
 		return fmt.Errorf("cluster: draining %s: %w", node, err)
 	}
 	p.mu.Lock()
-	st.live = false
 	// A drained node stays out until AddNode: it is still healthy, and the
 	// health loop must not re-admit it on the next probe.
 	st.drained = true

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"gdr/internal/server"
@@ -270,19 +269,11 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 // those headers yields seq 0 and tenant "" — still importable, just
 // watermarked conservatively.
 func (p *Proxy) exportSession(ctx context.Context, node, token string) ([]byte, uint64, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/sessions/"+token+"/snapshot", nil)
-	if err != nil {
-		return nil, 0, "", err
-	}
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
+	resp, err := p.call(ctx, http.MethodPost, node+"/v1/sessions/"+token+"/snapshot", p.adminAuth(), nil, nil, http.StatusOK)
 	if err != nil {
 		return nil, 0, "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, "", fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
-	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, 0, "", err
@@ -301,37 +292,28 @@ func (p *Proxy) importSession(ctx context.Context, node, token, tenant string, s
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/sessions", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.AssignTokenHeader, token)
+	header := http.Header{"Content-Type": {"application/json"}, server.AssignTokenHeader: {token}}
 	if tenant != "" {
-		req.Header.Set(server.AssignTenantHeader, tenant)
+		header.Set(server.AssignTenantHeader, tenant)
 	}
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
+	resp, err := p.call(ctx, http.MethodPost, node+"/v1/sessions", p.adminAuth(), bytes.NewReader(body), header,
+		http.StatusCreated, http.StatusConflict)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusCreated:
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusCreated {
 		return nil
-	case http.StatusConflict:
-		held, perr := strconv.ParseUint(resp.Header.Get(server.MutationSeqHeader), 10, 64)
-		if perr != nil {
-			return fmt.Errorf("the node's copy of the token is still being built")
-		}
-		if held < seq {
-			return fmt.Errorf("the node holds an older copy (watermark %d < %d)", held, seq)
-		}
-		p.reg.Counter("gdrproxy_duplicate_imports_total").Inc()
-		return nil
-	default:
-		return fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
 	}
+	held, perr := strconv.ParseUint(resp.Header.Get(server.MutationSeqHeader), 10, 64)
+	if perr != nil {
+		return fmt.Errorf("the node's copy of the token is still being built")
+	}
+	if held < seq {
+		return fmt.Errorf("the node holds an older copy (watermark %d < %d)", held, seq)
+	}
+	p.reg.Counter("gdrproxy_duplicate_imports_total").Inc()
+	return nil
 }
 
 // deleteSession removes a session from a node. Every session delete the
@@ -341,19 +323,12 @@ func (p *Proxy) deleteSession(ctx context.Context, node, token string) error {
 	if err := p.cfg.Faults.Fault(FaultDelete); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, node+"/v1/sessions/"+token, nil)
+	resp, err := p.call(ctx, http.MethodDelete, node+"/v1/sessions/"+token, p.adminAuth(), nil, nil,
+		http.StatusOK, http.StatusNotFound)
 	if err != nil {
 		return err
 	}
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
-	}
+	resp.Body.Close()
 	return nil
 }
 
@@ -432,7 +407,7 @@ func (p *Proxy) failover(ctx context.Context, node string) {
 // promote imports one replica onto its session's ring owner, first
 // deleting the session's live copies, which are all older than it.
 func (p *Proxy) promote(ctx context.Context, holder string, rep server.ReplicaInfo, to string, older []sessionCopy) error {
-	data, _, err := p.getReplica(ctx, holder, rep.Key)
+	data, err := p.getReplica(ctx, holder, rep.Key)
 	if err != nil {
 		return err
 	}
@@ -442,30 +417,4 @@ func (p *Proxy) promote(ctx context.Context, holder string, rep server.ReplicaIn
 		}
 	}
 	return p.importSession(ctx, to, rep.Token, rep.Tenant, data, rep.Seq)
-}
-
-// adminAuth renders the proxy's own Authorization header value ("" in
-// open mode).
-func (p *Proxy) adminAuth() string {
-	if p.cfg.AdminKey == "" {
-		return ""
-	}
-	return "Bearer " + p.cfg.AdminKey
-}
-
-func (p *Proxy) setAdminAuth(req *http.Request) {
-	if a := p.adminAuth(); a != "" {
-		req.Header.Set("Authorization", a)
-	}
-}
-
-// readErrorBody extracts the error string from a gdrd error response,
-// falling back to the raw body.
-func readErrorBody(r io.Reader) string {
-	data, _ := io.ReadAll(io.LimitReader(r, 4096))
-	var eb server.ErrorBody
-	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-		return eb.Error
-	}
-	return strings.TrimSpace(string(data))
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,18 +59,21 @@ type Config struct {
 	SettleGrace time.Duration
 	// Logger receives the proxy's structured logs (slog.Default if nil).
 	Logger *slog.Logger
-	// Client performs all upstream requests (a tuned default if nil).
+	// Client carries the proxy's own requests to its nodes: health probes,
+	// listings, snapshot exports and imports, deletes and replica traffic
+	// (an http.Client with a 30s timeout if nil). Forwarded client requests
+	// do not use it: the reverse proxy sends them on its own clone of
+	// http.DefaultTransport.
 	Client *http.Client
-	// Faults injects migration faults for tests and chaos mode (nil = off).
+	// Faults injects migration and replication faults for tests (nil = off).
 	Faults *faultfs.Injector
 }
 
-// nodeState is one node's membership view. All fields are guarded by the
-// owning Proxy's mu.
+// nodeState is one node's health view; whether it is live is whether the
+// ring holds it. All fields are guarded by the owning Proxy's mu.
 type nodeState struct {
 	fails   int  // consecutive failed probes
 	succs   int  // consecutive successful probes while dead (rejoin hysteresis)
-	live    bool // a ring member
 	drained bool // operator-removed; health must not re-admit it to the ring
 	dead    bool // declared dead by the health loop; unlisted until admit applies rule 1
 }
@@ -172,7 +177,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.urls[n] = u
 		p.requests[n] = p.reg.LabeledCounter("gdrproxy_requests_total", "node", n)
 		p.ring = p.ring.Add(n)
-		p.nodes[n] = &nodeState{live: true}
+		p.nodes[n] = &nodeState{}
 	}
 	p.mu.Unlock()
 	p.rp = &httputil.ReverseProxy{
@@ -190,7 +195,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.rp.Transport = tr.Clone()
 	}
 	p.reg.Gauge("gdrproxy_ring_version").Set(int64(p.currentRing().Version()))
-	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(len(cfg.Nodes)))
+	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(p.currentRing().Len()))
 	// Pre-register the replication series so /metrics shows them at zero
 	// from the first scrape instead of appearing mid-incident.
 	p.reg.Counter("gdrproxy_replica_pushes_total")
@@ -207,7 +212,7 @@ func (p *Proxy) Start() {
 	go p.replicator()
 }
 
-// Close stops the health loop and waits for it.
+// Close stops the health loop and the replicator and waits for both.
 func (p *Proxy) Close() {
 	close(p.stop)
 	p.healthWG.Wait()
@@ -277,17 +282,13 @@ func (p *Proxy) unsettled() bool {
 	return p.recover > 0 || len(p.migrating) > 0 || time.Now().Before(p.settleTil)
 }
 
-// markSettling opens the 404→503 grace window; callers hold p.mu.
+// markSettlingLocked opens the 404→503 grace window after a ring change
+// and sets the gdrproxy_ring_version and gdrproxy_nodes_live gauges from
+// the new ring; callers hold p.mu.
 func (p *Proxy) markSettlingLocked() {
 	p.settleTil = time.Now().Add(p.cfg.SettleGrace)
 	p.reg.Gauge("gdrproxy_ring_version").Set(int64(p.ring.Version()))
-	live := 0
-	for _, st := range p.nodes {
-		if st.live {
-			live++
-		}
-	}
-	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(live))
+	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(p.ring.Len()))
 }
 
 // handleCreate places a new session: mint the token, hash it to its owner,
@@ -420,10 +421,31 @@ func (p *Proxy) handleList(w http.ResponseWriter, r *http.Request) {
 // listNode asks one node for its sessions with the given Authorization
 // header value ("" sends none).
 func (p *Proxy) listNode(ctx context.Context, node, auth string) ([]server.SessionInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/sessions", nil)
+	resp, err := p.call(ctx, http.MethodGet, node+"/v1/sessions", auth, nil, nil, http.StatusOK)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: list %s: %w", node, err)
+	}
+	defer resp.Body.Close()
+	var list server.SessionList
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		return nil, err
+	}
+	return list.Sessions, nil
+}
+
+// call sends one request the proxy makes on its own account: method to
+// target (a node's base URL plus path) on p.client, with the caller's
+// headers and the given Authorization value ("" sends none). A response
+// whose status is in want is returned as is: the caller reads its body or
+// closes it unread, and an unread close drops the connection (ARCHITECTURE
+// "Replication", Pacing). Any other status becomes an error carrying it
+// and the node's error text.
+func (p *Proxy) call(ctx context.Context, method, target, auth string, body io.Reader, header http.Header, want ...int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return nil, err
 	}
+	maps.Copy(req.Header, header)
 	if auth != "" {
 		req.Header.Set("Authorization", auth)
 	}
@@ -431,15 +453,31 @@ func (p *Proxy) listNode(ctx context.Context, node, auth string) ([]server.Sessi
 	if err != nil {
 		return nil, err
 	}
+	if slices.Contains(want, resp.StatusCode) {
+		return resp, nil
+	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: list %s: %s", node, resp.Status)
+	return nil, fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
+}
+
+// adminAuth renders the proxy's own Authorization header value ("" in
+// open mode).
+func (p *Proxy) adminAuth() string {
+	if p.cfg.AdminKey == "" {
+		return ""
 	}
-	var list server.SessionList
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return nil, err
+	return "Bearer " + p.cfg.AdminKey
+}
+
+// readErrorBody extracts the error string from a gdrd error response
+// (at most 4 KiB of it), falling back to the raw body.
+func readErrorBody(r io.Reader) string {
+	data, _ := io.ReadAll(io.LimitReader(r, 4096))
+	var eb server.ErrorBody
+	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
+		return eb.Error
 	}
-	return list.Sessions, nil
+	return strings.TrimSpace(string(data))
 }
 
 // nodeHealth is one node's row in the proxy /healthz body.
@@ -450,20 +488,13 @@ type nodeHealth struct {
 
 // handleHealthz reports the proxy's membership view.
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	p.mu.Lock()
-	rows := make([]nodeHealth, 0, len(p.nodes))
-	for n, st := range p.nodes {
-		rows = append(rows, nodeHealth{Node: n, Live: st.live})
+	ring := p.currentRing()
+	rows := make([]nodeHealth, 0, len(p.cfg.Nodes))
+	for _, n := range p.cfg.Nodes {
+		rows = append(rows, nodeHealth{Node: n, Live: ring.Has(n)})
 	}
-	version := p.ring.Version()
-	p.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Node < rows[j].Node })
-	live := 0
-	for _, row := range rows {
-		if row.Live {
-			live++
-		}
-	}
+	live := ring.Len()
 	w.Header().Set("Content-Type", "application/json")
 	status := "ok"
 	if live == 0 {
@@ -472,7 +503,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status":       status,
-		"ring_version": version,
+		"ring_version": ring.Version(),
 		"live_nodes":   live,
 		"nodes":        rows,
 	})
@@ -485,14 +516,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // grace, or with zero live nodes — exactly the windows where a new request
 // would likely land on a 404 or a dead upstream.
 func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	p.mu.Lock()
-	live := 0
-	for _, st := range p.nodes {
-		if st.live {
-			live++
-		}
-	}
-	p.mu.Unlock()
+	live := p.currentRing().Len()
 	w.Header().Set("Content-Type", "application/json")
 	if live == 0 || p.unsettled() {
 		w.Header().Set("Retry-After", "1")

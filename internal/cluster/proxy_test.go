@@ -689,7 +689,7 @@ func TestProxyFailoverOrphanRule(t *testing.T) {
 			survivors[0].mu.Unlock()
 			survivors[1].putReplica(token, 5, []byte("replica-v5"))
 			p.mu.Lock()
-			p.nodes[owner].live, p.nodes[owner].dead = false, true
+			p.nodes[owner].dead = true
 			p.ring = p.ring.Remove(owner)
 			p.mu.Unlock()
 			p.failover(context.Background(), owner)

@@ -284,17 +284,8 @@ func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, 
 	if !inventoryOK {
 		return
 	}
-	p.mu.Lock()
-	quiet := true
-	for _, st := range p.nodes {
-		if !st.live {
-			quiet = false
-			break
-		}
-	}
-	p.mu.Unlock()
-	if !quiet {
-		return
+	if p.currentRing().Len() < len(p.cfg.Nodes) {
+		return // not quiet: some configured node is out of the ring
 	}
 	for node, byKey := range held {
 		for key := range byKey {
@@ -324,91 +315,53 @@ func (p *Proxy) SyncReplicas(ctx context.Context) error {
 	return p.drainReplication(ctx)
 }
 
-// putReplica PUTs one watermarked snapshot into a node's spill store.
+// putReplica PUTs one watermarked snapshot into a node's spill store. A
+// 409 counts as landed: the store already holds a newer copy, so a racing
+// push won.
 func (p *Proxy) putReplica(ctx context.Context, node, key string, seq uint64, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, node+"/v1/replicas/"+key, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(server.MutationSeqHeader, strconv.FormatUint(seq, 10))
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
+	header := http.Header{"Content-Type": {"application/octet-stream"}, server.MutationSeqHeader: {strconv.FormatUint(seq, 10)}}
+	resp, err := p.call(ctx, http.MethodPut, node+"/v1/replicas/"+key, p.adminAuth(), bytes.NewReader(data), header,
+		http.StatusOK, http.StatusConflict)
 	if err != nil {
 		return err
 	}
 	// A 200 or 409 body is closed unread, which drops the connection; that churn currently paces pushes (ARCHITECTURE "Replication").
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusConflict:
-		// The store already holds a newer copy — a racing push won. Fine.
-		return nil
-	default:
-		return fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
-	}
+	resp.Body.Close()
+	return nil
 }
 
-// getReplica pulls one replica's bytes and watermark from a node.
-func (p *Proxy) getReplica(ctx context.Context, node, key string) ([]byte, uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/replicas/"+key, nil)
+// getReplica pulls one replica's bytes from a node.
+func (p *Proxy) getReplica(ctx context.Context, node, key string) ([]byte, error) {
+	resp, err := p.call(ctx, http.MethodGet, node+"/v1/replicas/"+key, p.adminAuth(), nil, nil, http.StatusOK)
 	if err != nil {
-		return nil, 0, err
-	}
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, err
-	}
-	seq, _ := strconv.ParseUint(resp.Header.Get(server.MutationSeqHeader), 10, 64)
-	return data, seq, nil
+	return io.ReadAll(resp.Body)
 }
 
 // deleteReplica drops one replica from a node's spill store.
 func (p *Proxy) deleteReplica(ctx context.Context, node, key string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, node+"/v1/replicas/"+key, nil)
+	resp, err := p.call(ctx, http.MethodDelete, node+"/v1/replicas/"+key, p.adminAuth(), nil, nil,
+		http.StatusOK, http.StatusNotFound)
 	if err != nil {
 		return err
 	}
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
-	}
+	resp.Body.Close()
 	return nil
 }
 
 // listReplicas inventories one node's spill store. A node that does not
 // expose the replica surface (pre-replication build) reads as empty.
 func (p *Proxy) listReplicas(ctx context.Context, node string) ([]server.ReplicaInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/replicas", nil)
+	resp, err := p.call(ctx, http.MethodGet, node+"/v1/replicas", p.adminAuth(), nil, nil,
+		http.StatusOK, http.StatusNotFound)
 	if err != nil {
-		return nil, err
-	}
-	p.setAdminAuth(req)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: listing replicas on %s: %w", node, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: listing replicas on %s: %s", node, resp.Status)
 	}
 	var list server.ReplicaList
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {

@@ -197,7 +197,6 @@ func TestProxyFailoverPromotesFromReplica(t *testing.T) {
 	dead.sessions = map[string]fakeSession{} // the node and its state are gone
 	dead.mu.Unlock()
 	p.mu.Lock()
-	p.nodes[owner].live = false
 	p.ring = p.ring.Remove(owner)
 	p.mu.Unlock()
 	p.failover(context.Background(), owner)
@@ -335,7 +334,7 @@ func TestProxyHealthHysteresis(t *testing.T) {
 	p, nodes, _ := newTestProxy(t, 2, func(c *Config) { c.FailAfter = 3 })
 	victim := nodes[1].ts.URL
 	p.mu.Lock()
-	p.nodes[victim].live, p.nodes[victim].dead = false, true
+	p.nodes[victim].dead = true
 	p.ring = p.ring.Remove(victim)
 	p.mu.Unlock()
 	for i := 1; i <= 3; i++ {
@@ -351,7 +350,7 @@ func TestProxyHealthHysteresis(t *testing.T) {
 	// A flap resets the streak: two successes, one failure, two successes
 	// again — still out.
 	p.mu.Lock()
-	p.nodes[victim].live, p.nodes[victim].dead = false, true
+	p.nodes[victim].dead = true
 	p.ring = p.ring.Remove(victim)
 	p.mu.Unlock()
 	p.checkAll()

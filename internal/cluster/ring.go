@@ -112,6 +112,35 @@ func (r *Ring) Lookup(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
+	return r.points[r.slot(key)].node
+}
+
+// LookupReplica returns the node holding a key's replica: the first
+// virtual node clockwise past the owner that belongs to a DIFFERENT
+// physical node. On a ring with fewer than two members there is nowhere
+// distinct to replicate to and it returns "". Because the walk starts from
+// the key's own arc, the replica is as stable across membership changes as
+// the owner itself — and because the ring only ever contains live members,
+// a key whose usual replica died is automatically hinted to the next
+// distinct survivor.
+func (r *Ring) LookupReplica(key string) string {
+	if len(r.nodes) < 2 {
+		return ""
+	}
+	lo := r.slot(key)
+	owner := r.points[lo].node
+	for i := 1; i < len(r.points); i++ {
+		if n := r.points[(lo+i)%len(r.points)].node; n != owner {
+			return n
+		}
+	}
+	return ""
+}
+
+// slot returns the index of the point owning a key: the first point
+// clockwise from the key's hash. The ring must have points. Both lookups
+// share it, and it allocates nothing.
+func (r *Ring) slot(key string) int {
 	h := fnv64a(key)
 	// Binary search, inlined rather than sort.Search: the closure there
 	// costs an allocation and this runs on every routed request.
@@ -127,41 +156,7 @@ func (r *Ring) Lookup(key string) string {
 	if lo == len(r.points) {
 		lo = 0 // wrap: the first point owns the arc past the last hash
 	}
-	return r.points[lo].node
-}
-
-// LookupReplica returns the node holding a key's replica: the first
-// virtual node clockwise past the owner that belongs to a DIFFERENT
-// physical node. On a ring with fewer than two members there is nowhere
-// distinct to replicate to and it returns "". Because the walk starts from
-// the key's own arc, the replica is as stable across membership changes as
-// the owner itself — and because the ring only ever contains live members,
-// a key whose usual replica died is automatically hinted to the next
-// distinct survivor.
-func (r *Ring) LookupReplica(key string) string {
-	if len(r.nodes) < 2 {
-		return ""
-	}
-	h := fnv64a(key)
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.points) {
-		lo = 0
-	}
-	owner := r.points[lo].node
-	for i := 1; i < len(r.points); i++ {
-		if n := r.points[(lo+i)%len(r.points)].node; n != owner {
-			return n
-		}
-	}
-	return ""
+	return lo
 }
 
 // rebuild constructs the sorted point list for a member set.
