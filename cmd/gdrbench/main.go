@@ -18,6 +18,7 @@ import (
 	"runtime"
 
 	"gdr"
+	"gdr/internal/experiments"
 	"gdr/internal/par"
 )
 
@@ -76,7 +77,7 @@ func run(figure, ds string, n int, seed int64, rate float64, workers int, verbos
 		if verbose {
 			fmt.Fprintf(os.Stderr, "generating dataset %d (n=%d)...\n", datasets[i], n)
 		}
-		d, err := datasetByID(datasets[i], baseCfg)
+		d, err := experiments.Dataset(datasets[i], baseCfg)
 		if err != nil {
 			return err
 		}
@@ -132,15 +133,4 @@ func run(figure, ds string, n int, seed int64, rate float64, workers int, verbos
 		}
 	}
 	return nil
-}
-
-func datasetByID(id int, cfg gdr.FigureConfig) (*gdr.Data, error) {
-	dc := gdr.DataConfig{N: cfg.N, Seed: cfg.Seed, DirtyRate: cfg.DirtyRate}
-	switch id {
-	case 1:
-		return gdr.HospitalData(dc), nil
-	case 2:
-		return gdr.CensusData(dc), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %d", id)
 }

@@ -4,24 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
-
-	"gdr"
 )
-
-func TestDatasetByID(t *testing.T) {
-	cfg := gdr.FigureConfig{N: 200, Seed: 1}
-	d1, err := datasetByID(1, cfg)
-	if err != nil || d1.Name != "hospital" {
-		t.Fatalf("dataset 1: %v %v", d1, err)
-	}
-	d2, err := datasetByID(2, cfg)
-	if err != nil || d2.Name != "census" {
-		t.Fatalf("dataset 2: %v %v", d2, err)
-	}
-	if _, err := datasetByID(3, cfg); err == nil {
-		t.Fatal("want error for unknown dataset")
-	}
-}
 
 func TestRunArgValidation(t *testing.T) {
 	if err := run("9", "1", 100, 1, 0.3, 1, false, io.Discard); err == nil {

@@ -336,70 +336,18 @@ func (e *Engine) ApplyVID(tid, ai int, v relation.VID) []int {
 	// updated in place, and every rule outside the list keeps its state.
 	var cb [candBufLen]int32
 	cands := e.candidates(cb[:0], row, ai, v)
-	recheck := map[int]struct{}{tid: {}}
-	type watch struct {
-		st    *ruleState
-		key   string
-		mixed bool
-	}
-	var watches []watch
-	note := func(st *ruleState, key string) {
-		if b := st.buckets[key]; b != nil {
-			watches = append(watches, watch{st, key, len(b.byVal) >= 2})
-		} else {
-			watches = append(watches, watch{st, key, false})
-		}
-	}
-	var kb [relation.KeyBufSize]byte
-	for _, si := range cands {
-		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
-			note(st, string(st.key(kb[:0], row)))
-		}
-	}
+	watches := e.watchBuckets(nil, cands, row)
 	for _, si := range cands {
 		e.removeTuple(e.states[si], tid)
 	}
 	e.db.SetVIDAt(tid, ai, v)
 	// Record the target buckets' mixedness before re-inserting the tuple so
 	// a uniform→mixed transition caused by the insertion is visible below.
-	for _, si := range cands {
-		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
-			note(st, string(st.key(kb[:0], row)))
-		}
-	}
+	watches = e.watchBuckets(watches, cands, row)
 	for _, si := range cands {
 		e.addTuple(e.states[si], tid)
 	}
-	for _, w := range watches {
-		b := w.st.buckets[w.key]
-		mixedNow := b != nil && len(b.byVal) >= 2
-		if mixedNow == w.mixed {
-			continue
-		}
-		if b != nil {
-			for m := range b.tids {
-				recheck[m] = struct{}{}
-			}
-		}
-	}
-	var out []int
-	for m := range recheck {
-		wasDirty := false
-		if _, ok := e.dirty[m]; ok {
-			wasDirty = true
-		}
-		isDirty := e.violatesAny(m)
-		if isDirty {
-			e.dirty[m] = struct{}{}
-		} else {
-			delete(e.dirty, m)
-		}
-		if isDirty != wasDirty || m == tid {
-			out = append(out, m)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return e.recheck(tid, watches)
 }
 
 // Insert appends a new tuple to the database and indexes it, supporting the
@@ -412,45 +360,58 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	recheck := map[int]struct{}{tid: {}}
 	row := e.db.Row(tid)
-	type watch struct {
-		st    *ruleState
-		key   string
-		mixed bool
-	}
-	var watches []watch
 	for _, st := range e.states {
 		st.version++
 	}
 	var cb [candBufLen]int32
 	cands := e.candidates(cb[:0], row, -1, 0)
-	var kb [relation.KeyBufSize]byte
-	for _, si := range cands {
-		st := e.states[si]
-		if st.isConst || !st.matchLHS(row) {
-			continue
-		}
-		key := string(st.key(kb[:0], row))
-		mixed := false
-		if b := st.buckets[key]; b != nil {
-			mixed = len(b.byVal) >= 2
-		}
-		watches = append(watches, watch{st, key, mixed})
-	}
+	watches := e.watchBuckets(nil, cands, row)
 	for _, si := range cands {
 		e.addTuple(e.states[si], tid)
 	}
+	return tid, e.recheck(tid, watches), nil
+}
+
+// bucketWatch is one variable rule's bucket an update touches, and whether
+// it held two or more distinct RHS values (was mixed) before the update.
+type bucketWatch struct {
+	st    *ruleState
+	key   string
+	mixed bool
+}
+
+// watchBuckets appends to watches the bucket row falls in under each
+// candidate variable rule whose context holds it, with its mixedness now.
+func (e *Engine) watchBuckets(watches []bucketWatch, cands []int32, row []relation.VID) []bucketWatch {
+	var kb [relation.KeyBufSize]byte
+	for _, si := range cands {
+		if st := e.states[si]; !st.isConst && st.matchLHS(row) {
+			key := string(st.key(kb[:0], row))
+			b := st.buckets[key]
+			watches = append(watches, bucketWatch{st, key, b != nil && len(b.byVal) >= 2})
+		}
+	}
+	return watches
+}
+
+// recheck re-evaluates tid and every member of a watched bucket that
+// crossed the uniform↔mixed boundary (only such a crossing can change a
+// co-bucket member's status), updates the dirty set, and returns, sorted,
+// the ids whose dirty status changed plus tid.
+func (e *Engine) recheck(tid int, watches []bucketWatch) []int {
+	ids := map[int]struct{}{tid: {}}
 	for _, w := range watches {
 		b := w.st.buckets[w.key]
 		if b == nil || (len(b.byVal) >= 2) == w.mixed {
 			continue
 		}
 		for m := range b.tids {
-			recheck[m] = struct{}{}
+			ids[m] = struct{}{}
 		}
 	}
-	for m := range recheck {
+	var out []int
+	for m := range ids {
 		_, wasDirty := e.dirty[m]
 		isDirty := e.violatesAny(m)
 		if isDirty {
@@ -459,11 +420,11 @@ func (e *Engine) Insert(t relation.Tuple) (tid int, affected []int, err error) {
 			delete(e.dirty, m)
 		}
 		if isDirty != wasDirty || m == tid {
-			affected = append(affected, m)
+			out = append(out, m)
 		}
 	}
-	sort.Ints(affected)
-	return tid, affected, nil
+	sort.Ints(out)
+	return out
 }
 
 // violatesAny reports whether tuple tid violates at least one rule. A rule

@@ -68,24 +68,29 @@ type sessionCopy struct {
 	info server.SessionInfo
 }
 
-// inventory lists the sessions on every node that may hold a copy: every
+// holders returns every node that may hold a copy of a session: every
 // configured node the health loop has not declared dead (ring members and
 // drained nodes), in configured order. A dead node is not asked: rule 1
-// settles its copies before it is listed again (see admit). Any failed
-// listing fails the whole inventory, since the copy it hides may be the
-// one routing points at; settling, moving or promoting on a partial view
-// could serve or keep an older copy.
-func (p *Proxy) inventory(ctx context.Context) (map[string][]sessionCopy, error) {
+// settles its copies before it is listed again (see admit).
+func (p *Proxy) holders() []string {
 	var nodes []string
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, n := range p.cfg.Nodes {
 		if !p.nodes[n].dead {
 			nodes = append(nodes, n)
 		}
 	}
-	p.mu.Unlock()
+	return nodes
+}
+
+// inventory lists the sessions on every holder. Any failed listing fails
+// the whole inventory, since the copy it hides may be the one routing
+// points at; settling, moving or promoting on a partial view could serve
+// or keep an older copy.
+func (p *Proxy) inventory(ctx context.Context) (map[string][]sessionCopy, error) {
 	inv := make(map[string][]sessionCopy)
-	for _, n := range nodes {
+	for _, n := range p.holders() {
 		infos, err := p.listNode(ctx, n, p.adminAuth())
 		if err != nil {
 			p.log.Warn("listing node failed; placement waits for a full inventory", "node", n, "err", err)

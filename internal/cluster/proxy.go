@@ -186,7 +186,6 @@ func New(cfg Config) (*Proxy, error) {
 			pr.SetURL(t)
 			pr.SetXForwarded()
 		},
-		FlushInterval:  100 * time.Millisecond, // keep streaming exports flowing
 		ErrorHandler:   p.upstreamError,
 		ModifyResponse: p.modifyResponse,
 		ErrorLog:       slog.NewLogLogger(cfg.Logger.Handler(), slog.LevelWarn),
@@ -389,22 +388,23 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 	return nil
 }
 
-// handleList fans the listing out to every live node and merges: the
+// handleList fans the listing out to every node that may serve a session
+// (the holders inventory asks, drained nodes included) and merges: the
 // cluster's sessions are the union of its nodes'. The caller's own
 // credentials travel with each fan-out leg, so tenants see exactly what
-// they would see asking each node themselves. Duplicates (a migration's
-// transient src+dst overlap) collapse onto the ring owner's copy.
+// they would see asking each node themselves. A session two nodes list (a
+// migration's transient overlap, or a superseded copy whose delete
+// failed) is reported as the copy routing points at, the one it serves.
 func (p *Proxy) handleList(w http.ResponseWriter, r *http.Request) {
-	ring := p.currentRing()
 	merged := make(map[string]server.SessionInfo)
-	for _, node := range ring.Nodes() {
+	for _, node := range p.holders() {
 		infos, err := p.listNode(r.Context(), node, r.Header.Get("Authorization"))
 		if err != nil {
 			p.log.Warn("list fan-out leg failed", "node", node, "err", err)
 			continue
 		}
 		for _, s := range infos {
-			if _, dup := merged[s.ID]; !dup || ring.Lookup(s.ID) == node {
+			if _, dup := merged[s.ID]; !dup || p.routeToken(s.ID) == node {
 				merged[s.ID] = s
 			}
 		}

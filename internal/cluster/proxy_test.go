@@ -338,6 +338,61 @@ func TestProxyListMergesNodes(t *testing.T) {
 	}
 }
 
+// TestProxyListReportsServedCopy: the merged listing reports each session
+// as the copy the proxy serves. A session a drained node still serves (its
+// move failed) is listed, and a session routed to its fresher copy while
+// the ring owner keeps an older one (whose delete failed) is listed at the
+// fresher copy's watermark.
+func TestProxyListReportsServedCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault faultfs.Point
+		// setup places the copies and runs the membership change the fault
+		// makes fail; owner is the token's ring owner.
+		setup func(p *Proxy, owner, other *fakeNode, token string) error
+	}{
+		{"drained node still serving", FaultImport, func(p *Proxy, owner, other *fakeNode, token string) error {
+			other.putSeq(token, 5, "fresh")
+			return p.RemoveNode(context.Background(), other.ts.URL)
+		}},
+		{"routed past an undeletable older copy", FaultDelete, func(p *Proxy, owner, other *fakeNode, token string) error {
+			owner.putSeq(token, 3, "stale")
+			other.putSeq(token, 5, "fresh")
+			return p.Rebalance(context.Background())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults := faultfs.New(1)
+			p, nodes, ts := newTestProxy(t, 2, func(c *Config) { c.Faults = faults })
+			token := strings.Repeat("3c", 16)
+			owner, other := nodes[0], nodes[1]
+			if p.currentRing().Lookup(token) != owner.ts.URL {
+				owner, other = other, owner
+			}
+			faults.Set(tc.fault, faultfs.Rule{P: 1})
+			if err := tc.setup(p, owner, other, token); err == nil {
+				t.Fatal("the move off the fresh copy's node should have failed")
+			}
+			faults.Clear()
+			if got := p.routeToken(token); got != other.ts.URL {
+				t.Fatalf("routing points at %s, want the fresh copy's node %s", got, other.ts.URL)
+			}
+			resp, err := http.Get(ts.URL + "/v1/sessions")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var list server.SessionList
+			if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+				t.Fatal(err)
+			}
+			if len(list.Sessions) != 1 || list.Sessions[0].ID != token || list.Sessions[0].MutSeq != 5 {
+				t.Fatalf("listing %+v, want %s once, at the served copy's watermark 5", list.Sessions, token)
+			}
+		})
+	}
+}
+
 func TestProxyRemoveNodeMigratesSessions(t *testing.T) {
 	p, nodes, ts := newTestProxy(t, 3, nil)
 	// Create enough sessions that every node owns some.

@@ -303,8 +303,9 @@ func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, 
 }
 
 // SyncReplicas drives replication to convergence right now: drain the
-// queue, audit, drain again. Tests and operational scripts call this
-// before deliberately killing a node, so the kill provably costs nothing.
+// queue, audit, drain again. It is Go API, not a gdrproxy command: the
+// in-process rigs and embedders call it before deliberately killing a
+// node, so the kill provably costs nothing.
 func (p *Proxy) SyncReplicas(ctx context.Context) error {
 	p.drainMu.Lock()
 	defer p.drainMu.Unlock()

@@ -51,7 +51,8 @@ const (
 // Span bounds: spanPrealloc covers a typical request without regrowing the
 // slice; maxSpans bounds what a finished trace retains, enough for a
 // feedback round with a checkpoint (admit, queue, slot, exec, a handful of
-// engine phases, persist and its four children). Finish trims the rest.
+// engine phases, encode, persist and its three children). Finish trims the
+// rest.
 const (
 	spanPrealloc = 16
 	maxSpans     = 64
@@ -503,11 +504,6 @@ func (t *Trace) Status() int {
 // ctxKey carries the *Trace in a request context.
 type ctxKey struct{}
 
-// parentKey carries the span-parent stage name into a session command: a
-// tier that runs a command inside an open span (the checkpoint path) sets
-// it so the command's queue/slot/exec spans nest correctly.
-type parentKey struct{}
-
 // NewContext returns ctx carrying the trace (ctx unchanged for nil).
 func NewContext(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
@@ -520,18 +516,6 @@ func NewContext(ctx context.Context, t *Trace) context.Context {
 func FromContext(ctx context.Context) *Trace {
 	t, _ := ctx.Value(ctxKey{}).(*Trace)
 	return t
-}
-
-// WithSpanParent returns ctx carrying a span-parent stage name for work
-// dispatched to another goroutine while the named span is open.
-func WithSpanParent(ctx context.Context, stage string) context.Context {
-	return context.WithValue(ctx, parentKey{}, stage)
-}
-
-// SpanParent returns the context's span-parent stage name, or "".
-func SpanParent(ctx context.Context) string {
-	s, _ := ctx.Value(parentKey{}).(string)
-	return s
 }
 
 // ParseTraceParent parses a W3C traceparent header

@@ -171,16 +171,15 @@ func (a *actor) do(ctx context.Context, name string, fn func(sess *core.Session)
 	}
 	defer func() { <-a.turn }()
 	t := obs.FromContext(ctx)
-	parent := obs.SpanParent(ctx)
-	t.RecordSince("queue", parent, enq)
+	t.RecordSince("queue", "", enq)
 	slotStart := time.Now()
 	if err := a.sched.acquire(ctx, a.tenant, a.slots); err != nil {
 		a.shed("deadline")
 		return errExpiredQueued()
 	}
-	t.RecordSince("slot", parent, slotStart)
+	t.RecordSince("slot", "", slotStart)
 	a.faults.Fault(faultfs.Actor) // chaos: slow command, turn and slots held
-	err = a.runLabeled(ctx, t, parent, name, fn)
+	err = a.runLabeled(ctx, t, name, fn)
 	a.sched.release(a.tenant, a.slots)
 	return err
 }
@@ -188,8 +187,8 @@ func (a *actor) do(ctx context.Context, name string, fn func(sess *core.Session)
 // runLabeled executes one command under an exec span and pprof labels
 // (tenant, route, cmd), so CPU profiles attribute session work to the
 // traffic that caused it. A panic in fn comes back as the error.
-func (a *actor) runLabeled(ctx context.Context, t *obs.Trace, parent, name string, fn func(*core.Session)) (err error) {
-	h := t.StartChild(parent, "exec")
+func (a *actor) runLabeled(ctx context.Context, t *obs.Trace, name string, fn func(*core.Session)) (err error) {
+	h := t.StartSpan("exec")
 	a.cur = t
 	route := t.Route()
 	if route == "" {

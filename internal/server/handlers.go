@@ -407,13 +407,15 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	var encErr error
 	replay := false
+	var ckpt *captured // the round's own checkpoint; nil on a memory-only node
+	t := obs.FromContext(r.Context())
 	err := e.actor.do(r.Context(), "feedback", func(sess *core.Session) {
 		// Exactly-once retries: a request id seen within the dedup window
 		// replays the original response bytes without touching the session.
-		// Everything — the window check, the apply, the sequence bump and
-		// the response rendering — happens inside this one command, so a
-		// snapshot encoded by a later command always captures state,
-		// watermark and window in a mutually consistent cut.
+		// Everything — the window check, the apply, the sequence bump, the
+		// response rendering and the checkpoint capture — happens inside
+		// this one command, so the snapshot holds state, watermark and
+		// window in a mutually consistent cut that includes this round.
 		if reqID != "" {
 			if body, replay = e.dedup.get(reqID); replay {
 				return
@@ -426,6 +428,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 				e.dedup.put(reqID, body)
 			}
 		}
+		ckpt = s.store.captureRound(e, sess, t)
 	})
 	if err != nil {
 		writeError(w, err)
@@ -441,13 +444,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		body, encErr = marshalJSONBody(resp)
 	}
 	// Make the round durable before answering: once the client sees this
-	// response, a daemon crash must not lose the feedback. A failed write
-	// is logged and retried by the periodic flusher (the durability
-	// watermark stays behind) — the in-memory decision already happened, so
-	// the response still reports it.
-	if err := s.store.Checkpoint(r.Context(), e); err != nil {
-		s.log.Warn("checkpoint after feedback failed",
-			"session", e.id, "trace_id", obs.FromContext(r.Context()).ID(), "err", err)
+	// response, a daemon crash must not lose the feedback. The write runs
+	// after the turn is released, so no command queued behind the round
+	// delays the answer, and it does not consult the request context, so
+	// neither an expired deadline nor a client that hung up leaves the
+	// round undurable. A failed write is logged and retried by the
+	// periodic flusher (the durability watermark stays behind) — the
+	// in-memory decision already happened, so the response still reports
+	// it.
+	if err := s.store.checkpoint(t, e, ckpt); err != nil {
+		s.log.Warn("checkpoint after feedback failed", "session", e.id, "trace_id", t.ID(), "err", err)
 	}
 	// Count per-item outcomes separately: stale is the multi-client
 	// contention signal, invalid is client misuse — lumping either into

@@ -131,42 +131,62 @@ func (s *Store) Snapshot(ctx context.Context, e *entry) ([]byte, uint64, error) 
 	// snapshot of a session that no longer exists anywhere else.
 	e.acquireLease(s.now())
 	defer func() { e.releaseLease(s.now()) }()
-	data, mut, err := s.encode(ctx, e)
-	if err == nil && s.dir != "" {
-		_ = s.checkpoint(ctx, e, data, mut)
+	c := s.encode(ctx, e)
+	if c.err == nil && s.dir != "" {
+		_ = s.checkpoint(obs.FromContext(ctx), e, &c)
 	}
-	return data, mut, err
+	return c.data, c.mut, c.err
 }
 
-// Checkpoint makes the session durable: encode as a session command, write
-// to a temp file, fsync, rename. A no-op without a data directory. Concurrent
-// checkpoints of one session are safe — snapshots are sequence-stamped in
-// session-mutation order and a stale one never overwrites a newer file. A
-// failure leaves the entry dirty (the flusher retries with backoff) but
-// never corrupts the previous on-disk snapshot.
+// Checkpoint makes the session durable: encode as one session command,
+// then write to a temp file, fsync, rename. A no-op without a data
+// directory. Concurrent checkpoints of one session are safe — snapshots are
+// sequence-stamped in session-mutation order and a stale one never
+// overwrites a newer file. A failure leaves the entry dirty (the flusher
+// retries with backoff) but never corrupts the previous on-disk snapshot.
 func (s *Store) Checkpoint(ctx context.Context, e *entry) error {
 	if s.dir == "" {
 		return nil
 	}
-	return s.checkpoint(ctx, e, nil, 0)
+	c := s.encode(ctx, e)
+	return s.checkpoint(obs.FromContext(ctx), e, &c)
 }
 
-// checkpoint is the one path from a session to its file, run as one
-// "persist" span: it encodes the session unless the caller passes bytes
-// already encoded at watermark mut, persists them, counts the outcome and
-// sets the flusher's backoff. Its own encode runs under the persist span,
-// so its queue, slot and exec spans do not read as a second request; an
-// export passes its bytes, so its encode stays the request's own work.
-func (s *Store) checkpoint(ctx context.Context, e *entry, data []byte, mut uint64) error {
-	t := obs.FromContext(ctx)
-	h := t.StartSpan("persist")
-	defer h.End()
-	var err error
-	if data == nil {
-		data, mut, err = s.encode(obs.WithSpanParent(ctx, "persist"), e)
+// captured is one snapshot taken in a session command, on its way to the
+// session's file: the bytes encoded at watermark mut, or the error
+// encoding them failed with.
+type captured struct {
+	data []byte
+	mut  uint64
+	err  error
+}
+
+// captureRound captures, inside the command that applies a feedback round,
+// the checkpoint that makes the round durable; the handler hands it to
+// checkpoint once the turn is released. Without a data directory it
+// captures nothing and returns nil.
+func (s *Store) captureRound(e *entry, sess *core.Session, t *obs.Trace) *captured {
+	if s.dir == "" {
+		return nil
 	}
+	c := e.capture(sess, t)
+	return &c
+}
+
+// checkpoint is the one path from a captured snapshot to the session's
+// file, and writes nothing for a nil capture. It persists the bytes under
+// one "persist" span, which times the disk alone (the capture ran in a
+// session command before it), counts the outcome and sets the flusher's
+// backoff.
+func (s *Store) checkpoint(t *obs.Trace, e *entry, c *captured) error {
+	if c == nil {
+		return nil
+	}
+	err := c.err
 	if err == nil {
-		err = s.persist(e, data, mut, t)
+		h := t.StartSpan("persist")
+		err = s.persist(e, c.data, c.mut, t)
+		h.End()
 	}
 	if err != nil {
 		s.reg.Counter("gdrd_checkpoint_failures_total").Inc()
@@ -178,34 +198,45 @@ func (s *Store) checkpoint(ctx context.Context, e *entry, data []byte, mut uint6
 	return nil
 }
 
-// encode runs the snapshot encoder as a session command and records which
-// mutation sequence the captured state corresponds to. The watermark and
-// the dedup window ride inside the snapshot (format v2 meta): both are read
-// in that command, so the encoded triple is always mutually consistent.
-func (s *Store) encode(ctx context.Context, e *entry) (data []byte, mut uint64, err error) {
-	var encErr error
-	doErr := e.actor.do(ctx, "encode", func(sess *core.Session) {
-		mut = e.mutSeq.Load()
-		meta := snapshot.Meta{MutSeq: mut, Dedup: e.dedup.export()}
-		data, encErr = snapshot.EncodeStateMeta(e.name, meta, sess.ExportState())
-	})
-	if doErr != nil {
-		return nil, 0, doErr
+// encode captures the session's snapshot as one session command.
+func (s *Store) encode(ctx context.Context, e *entry) (c captured) {
+	if err := e.actor.do(ctx, "encode", func(sess *core.Session) {
+		c = e.capture(sess, obs.FromContext(ctx))
+	}); err != nil {
+		return captured{err: err}
 	}
-	if encErr != nil {
-		return nil, 0, encErr
-	}
-	return data, mut, nil
+	return c
+}
+
+// capture encodes the session's snapshot under an "encode" span beneath
+// the running command's exec. It runs inside a command holding the turn —
+// an encode command, or the feedback round it makes durable — and reads
+// the state, the mutation sequence (the watermark) and the dedup window
+// there, so the encoded triple is always mutually consistent (format v2
+// meta).
+func (e *entry) capture(sess *core.Session, t *obs.Trace) captured {
+	h := t.StartChild("exec", "encode")
+	defer h.End()
+	c := captured{mut: e.mutSeq.Load()}
+	meta := snapshot.Meta{MutSeq: c.mut, Dedup: e.dedup.export()}
+	c.data, c.err = snapshot.EncodeStateMeta(e.name, meta, sess.ExportState())
+	return c
 }
 
 // persist writes one captured snapshot crash-safely, advancing the
 // durability watermark to the mutation it covers. A snapshot at or behind
 // the watermark is skipped: the file already holds that state (or newer),
 // and advancing nothing means mutations the snapshot missed stay dirty for
-// the flusher.
+// the flusher. A retired session's snapshot is refused: retire closes the
+// turn and then removes the file under ckptMu, so a capture taken before
+// the retire either lands before the removal or sees the closed turn here,
+// and a deleted session cannot come back at the next boot.
 func (s *Store) persist(e *entry, data []byte, mut uint64, t *obs.Trace) error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
+	if e.actor.closed() {
+		return ErrSessionClosed
+	}
 	if e.hasDurable && mut <= e.durableMut {
 		return nil
 	}

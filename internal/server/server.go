@@ -432,7 +432,7 @@ func routeLabel(method, path string) string {
 // traceStages are the span stages gdrd records, and traceRoutes the route
 // labels a traced request can carry (routeLabel minus the exempt paths).
 var (
-	traceStages = []string{"admit", "queue", "slot", "exec", "persist", "write", "fsync", "rename",
+	traceStages = []string{"admit", "queue", "slot", "exec", "encode", "persist", "write", "fsync", "rename",
 		core.PhaseSuggest, core.PhaseRerank, core.PhaseRetrain}
 	traceRoutes = []string{"create", "list", "groups", "updates", "feedback", "status", "export",
 		"snapshot", "delete", "replicas", "other"}

@@ -338,11 +338,15 @@ func (s *Store) evictIdle() {
 // retire is the one way a session leaves the store, once its caller has
 // taken it out of entries: its turn closes (the command in flight
 // finishes, every waiter fails), its snapshot file goes, so the data
-// directory mirrors the live set, and an eviction is counted.
+// directory mirrors the live set, and an eviction is counted. The file is
+// removed under ckptMu, after the close, so no checkpoint captured before
+// the close can land after the removal (persist refuses a closed session).
 func (s *Store) retire(e *entry, evicted bool) {
 	e.actor.close()
 	if s.dir != "" {
+		e.ckptMu.Lock()
 		s.remove(e.key())
+		e.ckptMu.Unlock()
 	}
 	if evicted {
 		s.reg.Counter("gdrd_sessions_evicted_total").Inc()

@@ -16,12 +16,10 @@ import (
 	"gdr/internal/par"
 )
 
-// feedbackFirstGroup drives one full feedback round (groups → updates →
-// confirm all) against a live test server, returning the response to the
-// feedback POST itself so callers can inspect its headers.
-func feedbackFirstGroup(t *testing.T, ts *httptest.Server, sessionID, traceparent string) *http.Response {
+// firstGroupFeedback reads the first VOI group's pending updates and
+// returns a feedback body confirming all of them.
+func firstGroupFeedback(t *testing.T, ts *httptest.Server, base string) []byte {
 	t.Helper()
-	base := ts.URL + "/v1/sessions/" + sessionID
 	var groups GroupsResponse
 	if code := doJSON(t, ts.Client(), "GET", base+"/groups?order=voi", nil, &groups); code != 200 {
 		t.Fatalf("groups: status %d", code)
@@ -41,6 +39,16 @@ func feedbackFirstGroup(t *testing.T, ts *httptest.Server, sessionID, traceparen
 	if err != nil {
 		t.Fatal(err)
 	}
+	return payload
+}
+
+// feedbackFirstGroup drives one full feedback round (groups → updates →
+// confirm all) against a live test server, returning the response to the
+// feedback POST itself so callers can inspect its headers.
+func feedbackFirstGroup(t *testing.T, ts *httptest.Server, sessionID, traceparent string) *http.Response {
+	t.Helper()
+	base := ts.URL + "/v1/sessions/" + sessionID
+	payload := firstGroupFeedback(t, ts, base)
 	req, err := http.NewRequest("POST", base+"/feedback", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +255,8 @@ func TestOneLatencySource(t *testing.T) {
 	if want := "[gdrd_request_seconds gdrd_stage_seconds]"; fmt.Sprint(families) != want {
 		t.Errorf("histogram families = %v, want %s", families, want)
 	}
-	// Two slot waits on route create: the build's, and the checkpoint
-	// encode's under persist.
+	// Two slot waits on route create: the build's, and the first
+	// checkpoint's encode command.
 	if !strings.Contains(got, `gdrd_stage_seconds_count{route="create",stage="slot"} 2`+"\n") {
 		t.Error("the create's slot wait is not counted in gdrd_stage_seconds")
 	}
