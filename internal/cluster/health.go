@@ -183,7 +183,6 @@ func (p *Proxy) probe(node string) bool {
 	if err != nil {
 		return false
 	}
-	// Closed unread, this drops the connection; that churn currently paces pushes (ARCHITECTURE "Replication").
 	resp.Body.Close()
 	return true
 }

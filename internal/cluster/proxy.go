@@ -61,9 +61,9 @@ type Config struct {
 	Logger *slog.Logger
 	// Client carries the proxy's own requests to its nodes: health probes,
 	// listings, snapshot exports and imports, deletes and replica traffic
-	// (an http.Client with a 30s timeout if nil). Forwarded client requests
-	// do not use it: the reverse proxy sends them on its own clone of
-	// http.DefaultTransport.
+	// (if nil, an http.Client with a 30s timeout on its own clone of
+	// http.DefaultTransport). Forwarded client requests do not use it: the
+	// reverse proxy sends them on another clone of http.DefaultTransport.
 	Client *http.Client
 	// Faults injects migration and replication faults for tests (nil = off).
 	Faults *faultfs.Injector
@@ -94,6 +94,9 @@ type Proxy struct {
 	// requests holds each node's gdrproxy_requests_total handle, resolved
 	// in New so forwarding skips the registry (read-only after New).
 	requests map[string]*metrics.Counter
+	// transports are the clones of http.DefaultTransport the proxy made for
+	// itself; Close releases their idle connections (read-only after New).
+	transports []*http.Transport
 
 	// workMu serializes placement work — rebalances, drains, failovers,
 	// node admissions and audits — so each acts on an inventory no other
@@ -144,13 +147,8 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	p := &Proxy{
-		cfg:       cfg,
 		log:       cfg.Logger,
-		client:    cfg.Client,
 		reg:       metrics.NewRegistry(),
 		urls:      make(map[string]*url.URL, len(cfg.Nodes)),
 		requests:  make(map[string]*metrics.Counter, len(cfg.Nodes)),
@@ -163,6 +161,10 @@ func New(cfg Config) (*Proxy, error) {
 		replWake:  make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
+	if cfg.Client == nil {
+		cfg.Client = &http.Client{Timeout: 30 * time.Second, Transport: p.ownTransport()}
+	}
+	p.cfg, p.client = cfg, cfg.Client
 	p.mu.Lock()
 	for _, n := range cfg.Nodes {
 		u, err := url.Parse(n)
@@ -189,9 +191,7 @@ func New(cfg Config) (*Proxy, error) {
 		ErrorHandler:   p.upstreamError,
 		ModifyResponse: p.modifyResponse,
 		ErrorLog:       slog.NewLogLogger(cfg.Logger.Handler(), slog.LevelWarn),
-	}
-	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
-		p.rp.Transport = tr.Clone()
+		Transport:      p.ownTransport(),
 	}
 	p.reg.Gauge("gdrproxy_ring_version").Set(int64(p.currentRing().Version()))
 	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(p.currentRing().Len()))
@@ -204,6 +204,19 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
+// ownTransport returns a clone of http.DefaultTransport, kept so Close can
+// release its idle connections. When http.DefaultTransport is not an
+// *http.Transport it returns nil, and the caller sends on the default.
+func (p *Proxy) ownTransport() http.RoundTripper {
+	tr, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return nil
+	}
+	tr = tr.Clone()
+	p.transports = append(p.transports, tr)
+	return tr
+}
+
 // Start launches the membership health loop and the replicator worker.
 func (p *Proxy) Start() {
 	p.healthWG.Add(2)
@@ -211,10 +224,14 @@ func (p *Proxy) Start() {
 	go p.replicator()
 }
 
-// Close stops the health loop and the replicator and waits for both.
+// Close stops the health loop and the replicator, waits for both, and
+// releases the idle connections of the transports the proxy made.
 func (p *Proxy) Close() {
 	close(p.stop)
 	p.healthWG.Wait()
+	for _, tr := range p.transports {
+		tr.CloseIdleConnections()
+	}
 }
 
 // Registry exposes the proxy's metrics registry (tests scrape it directly).
@@ -436,10 +453,11 @@ func (p *Proxy) listNode(ctx context.Context, node, auth string) ([]server.Sessi
 // call sends one request the proxy makes on its own account: method to
 // target (a node's base URL plus path) on p.client, with the caller's
 // headers and the given Authorization value ("" sends none). A response
-// whose status is in want is returned as is: the caller reads its body or
-// closes it unread, and an unread close drops the connection (ARCHITECTURE
-// "Replication", Pacing). Any other status becomes an error carrying it
-// and the node's error text.
+// whose status is in want is returned for its caller to read or close;
+// its body's Close first drains up to maxDrain bytes the caller left
+// unread, so the connection goes back to the pool instead of being
+// dropped. Any other status becomes an error carrying it and the node's
+// error text.
 func (p *Proxy) call(ctx context.Context, method, target, auth string, body io.Reader, header http.Header, want ...int) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
@@ -453,6 +471,7 @@ func (p *Proxy) call(ctx context.Context, method, target, auth string, body io.R
 	if err != nil {
 		return nil, err
 	}
+	resp.Body = drainingBody{resp.Body}
 	if slices.Contains(want, resp.StatusCode) {
 		return resp, nil
 	}
@@ -469,10 +488,25 @@ func (p *Proxy) adminAuth() string {
 	return "Bearer " + p.cfg.AdminKey
 }
 
+// maxDrain caps what the proxy reads of a node's response body beyond what
+// a caller decodes: an error's text, or the tail a caller left unread. A
+// body with more left than this is dropped with its connection.
+const maxDrain = 4 << 10
+
+// drainingBody is a node's response body whose Close first reads what is
+// left of it, up to maxDrain bytes, so the transport can reuse the
+// connection.
+type drainingBody struct{ io.ReadCloser }
+
+func (b drainingBody) Close() error {
+	_, _ = io.Copy(io.Discard, io.LimitReader(b.ReadCloser, maxDrain))
+	return b.ReadCloser.Close()
+}
+
 // readErrorBody extracts the error string from a gdrd error response
 // (at most 4 KiB of it), falling back to the raw body.
 func readErrorBody(r io.Reader) string {
-	data, _ := io.ReadAll(io.LimitReader(r, 4096))
+	data, _ := io.ReadAll(io.LimitReader(r, maxDrain))
 	var eb server.ErrorBody
 	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 		return eb.Error

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +31,7 @@ type fakeSession struct {
 type fakeReplica struct {
 	seq  uint64
 	data []byte
+	at   time.Time // when the PUT that stored it arrived
 }
 
 // fakeNode is a minimal in-memory stand-in for a cluster-mode gdrd: enough
@@ -125,7 +129,7 @@ func newFakeNode(t *testing.T) *fakeNode {
 			w.WriteHeader(http.StatusConflict)
 			return
 		}
-		n.replicas[r.PathValue("key")] = fakeReplica{seq: seq, data: data}
+		n.replicas[r.PathValue("key")] = fakeReplica{seq: seq, data: data, at: time.Now()}
 		fmt.Fprint(w, `{"status":"stored"}`)
 	})
 	mux.HandleFunc("GET /v1/replicas", func(w http.ResponseWriter, r *http.Request) {
@@ -230,15 +234,19 @@ func (n *fakeNode) put(token, tenant string) {
 }
 
 // saw reports whether the node ever received a given "METHOD path" call.
-func (n *fakeNode) saw(call string) bool {
+func (n *fakeNode) saw(call string) bool { return n.count(call) > 0 }
+
+// count reports how often the node received a given "METHOD path" call.
+func (n *fakeNode) count(call string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	k := 0
 	for _, c := range n.calls {
 		if c == call {
-			return true
+			k++
 		}
 	}
-	return false
+	return k
 }
 
 // newTestProxy builds a proxy over k fake nodes. The health loop is not
@@ -894,5 +902,70 @@ func TestCreateHeaderRewriteAllocBound(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("header rewrite allocates %.1f times per call, want <= 2", allocs)
+	}
+}
+
+// TestNodeCallsReuseConnections: 20 sequential calls of one kind the proxy
+// makes on its own account open one connection to the node, whatever the
+// answer's status and whether or not the caller reads the body.
+func TestNodeCallsReuseConnections(t *testing.T) {
+	const calls = 20
+	ctx := context.Background()
+	cases := []struct {
+		name   string
+		status int
+		body   string
+		call   func(p *Proxy, n string) error
+	}{
+		{"probe", http.StatusOK, `{"status":"ok"}`, func(p *Proxy, n string) error {
+			if !p.probe(n) {
+				return fmt.Errorf("probe failed")
+			}
+			return nil
+		}},
+		{"listNode", http.StatusOK, `{"sessions":[]}`, func(p *Proxy, n string) error { _, err := p.listNode(ctx, n, ""); return err }},
+		{"exportSession", http.StatusOK, "snap", func(p *Proxy, n string) error { _, _, _, err := p.exportSession(ctx, n, "t1"); return err }},
+		{"getReplica", http.StatusOK, "snap", func(p *Proxy, n string) error { _, err := p.getReplica(ctx, n, "acme@t1"); return err }},
+		{"putReplica", http.StatusOK, `{"status":"stored"}`, func(p *Proxy, n string) error { return p.putReplica(ctx, n, "acme@t1", 1, []byte("snap")) }},
+		{"putReplica", http.StatusConflict, `{"error":"stale watermark"}`, func(p *Proxy, n string) error { return p.putReplica(ctx, n, "acme@t1", 1, []byte("snap")) }},
+		{"deleteReplica", http.StatusOK, `{"status":"deleted"}`, func(p *Proxy, n string) error { return p.deleteReplica(ctx, n, "acme@t1") }},
+		{"deleteReplica", http.StatusNotFound, `{"error":"no replica"}`, func(p *Proxy, n string) error { return p.deleteReplica(ctx, n, "acme@t1") }},
+		{"deleteSession", http.StatusOK, `{"status":"deleted"}`, func(p *Proxy, n string) error { return p.deleteSession(ctx, n, "t1") }},
+		{"deleteSession", http.StatusNotFound, `{"error":"session not found"}`, func(p *Proxy, n string) error { return p.deleteSession(ctx, n, "t1") }},
+		{"importSession", http.StatusCreated, `{"session":{"id":"t1"}}`, func(p *Proxy, n string) error { return p.importSession(ctx, n, "t1", "acme", []byte("snap"), 1) }},
+		{"importSession", http.StatusConflict, `{"error":"token in use"}`, func(p *Proxy, n string) error { return p.importSession(ctx, n, "t1", "acme", []byte("snap"), 1) }},
+		{"listReplicas", http.StatusOK, `{"replicas":[]}`, func(p *Proxy, n string) error { _, err := p.listReplicas(ctx, n); return err }},
+		{"listReplicas", http.StatusNotFound, `{"error":"not found"}`, func(p *Proxy, n string) error { _, err := p.listReplicas(ctx, n); return err }},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%d", c.name, c.status), func(t *testing.T) {
+			var conns atomic.Int64
+			node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				_, _ = io.Copy(io.Discard, r.Body)
+				w.Header().Set(server.MutationSeqHeader, "1") // a 409's copy is as fresh as the import
+				w.WriteHeader(c.status)
+				_, _ = io.WriteString(w, c.body)
+			}))
+			node.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+				if s == http.StateNew {
+					conns.Add(1)
+				}
+			}
+			node.Start()
+			defer node.Close()
+			p, err := New(Config{Nodes: []string{node.URL}, HealthEvery: time.Second, Logger: slog.New(slog.DiscardHandler)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			for i := 0; i < calls; i++ {
+				if err := c.call(p, node.URL); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			if n := conns.Load(); n != 1 {
+				t.Fatalf("%d calls opened %d connections, want 1", calls, n)
+			}
+		})
 	}
 }

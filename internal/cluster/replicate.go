@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"gdr/internal/server"
 )
@@ -21,15 +22,17 @@ import (
 //
 //	push    — a create's first replica is pushed before the 201 goes back,
 //	          so a session has a replica from its first response; after
-//	          every feedback 200 the token is queued, and the replicator
-//	          exports the snapshot from the primary and PUTs it to the
-//	          replica node, watermarked with the mutation sequence the bytes
-//	          capture. The store rejects stale watermarks, so a delayed push
-//	          can never roll a replica back. Pushes after the first are
-//	          asynchronous: a node lost for good takes with it the rounds
-//	          since its last landed push. (gdrd_replica_lag_rounds is not
-//	          that live exposure: it counts the rounds the node's latest
-//	          accepted push skipped over.)
+//	          every other mutation the proxy sees (a feedback 200 that is
+//	          not a replay, a random-order groups 200) the token is queued,
+//	          and the replicator, pushDelay after it is woken, exports the
+//	          snapshot from the primary and PUTs it to the replica node,
+//	          watermarked with the mutation sequence the bytes capture. The
+//	          store rejects stale watermarks, so a delayed push can never
+//	          roll a replica back. Pushes after the first are asynchronous:
+//	          a node lost for good takes with it the rounds since its last
+//	          landed push. (gdrd_replica_lag_rounds is not that live
+//	          exposure: it counts the rounds the node's latest accepted
+//	          push skipped over.)
 //	promote — when a node dies, failover() imports the freshest replica of
 //	          each orphaned session onto its new ring owner — no access to
 //	          the dead node's disk required.
@@ -66,6 +69,15 @@ func (p *Proxy) observeForReplication(resp *http.Response) {
 			}
 		}
 	case r.Method == http.MethodPost && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/feedback"):
+		// A replayed round (a dedup hit) changed nothing on the node.
+		if token := sessionTokenFromPath(r.URL.Path); token != "" && resp.Header.Get(server.DuplicateHeader) == "" {
+			p.enqueueReplicate(token)
+		}
+	case r.Method == http.MethodGet && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/groups") &&
+		r.URL.Query().Get("order") == "random":
+		// A random-order poll advances the session's shuffle count, so the
+		// node bumps its mut_seq (handleGroups in internal/server): a
+		// replica left behind would repeat an order the client has seen.
 		if token := sessionTokenFromPath(r.URL.Path); token != "" {
 			p.enqueueReplicate(token)
 		}
@@ -113,6 +125,16 @@ func (p *Proxy) wakeReplicator() {
 	}
 }
 
+// pushDelay is how long the woken replicator waits before it drains the
+// queue. A push started at once would export and PUT a snapshot while the
+// answer of the round that queued it is still on its way to the client,
+// and the two would contend for the same CPUs: on 2 CPUs, the wait took
+// cluster-census feedback_p50_ms from 0.68 to 0.33 ms (ARCHITECTURE
+// "Replication", Pacing). Tokens queued during the wait ride the same
+// drain. The cost is freshness: a replica trails its owner by up to
+// pushDelay more.
+const pushDelay = 2 * time.Millisecond
+
 // replicator is the background worker draining the push/drop queues. It is
 // deliberately not in the request path: feedback latency never waits on a
 // replica push, and a slow replica node degrades durability (visible as
@@ -122,12 +144,17 @@ func (p *Proxy) replicator() {
 	for {
 		select {
 		case <-p.replWake:
-			p.drainMu.Lock()
-			p.drainReplication(context.Background())
-			p.drainMu.Unlock()
 		case <-p.stop:
 			return
 		}
+		select {
+		case <-time.After(pushDelay):
+		case <-p.stop:
+			return
+		}
+		p.drainMu.Lock()
+		p.drainReplication(context.Background())
+		p.drainMu.Unlock()
 	}
 }
 
@@ -326,7 +353,6 @@ func (p *Proxy) putReplica(ctx context.Context, node, key string, seq uint64, da
 	if err != nil {
 		return err
 	}
-	// A 200 or 409 body is closed unread, which drops the connection; that churn currently paces pushes (ARCHITECTURE "Replication").
 	resp.Body.Close()
 	return nil
 }

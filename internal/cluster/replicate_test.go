@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +31,21 @@ func (n *fakeNode) putReplica(key string, seq uint64, data []byte) {
 	n.mu.Lock()
 	n.replicas[key] = fakeReplica{seq: seq, data: data}
 	n.mu.Unlock()
+}
+
+// waitReplica polls a node, for up to 2s, until it holds a replica under key.
+func waitReplica(t *testing.T, n *fakeNode, key string) fakeReplica {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if rep, ok := n.replica(key); ok {
+			return rep
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no replica %s appeared on %s", key, n.ts.URL)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestRingLookupReplica pins the placement rule: the replica is always a
@@ -167,6 +185,144 @@ func TestProxyFeedbackResponseEnqueuesPush(t *testing.T) {
 	p2.replMu.Unlock()
 	if pending != 0 {
 		t.Fatal("a read queued a replica push")
+	}
+}
+
+// TestProxyReplayQueuesNoPush: a feedback 200 the node marks as a replay
+// (a dedup hit) changed nothing, so it queues no replica push.
+func TestProxyReplayQueuesNoPush(t *testing.T) {
+	p, _, _ := newTestProxy(t, 2, nil)
+	token := strings.Repeat("ab", 16)
+	req, _ := http.NewRequest(http.MethodPost, "http://x/v1/sessions/"+token+"/feedback", nil)
+	p.observeForReplication(&http.Response{StatusCode: http.StatusOK, Request: req,
+		Header: http.Header{server.DuplicateHeader: {"1"}}})
+	p.replMu.Lock()
+	pending := len(p.replPend)
+	p.replMu.Unlock()
+	if pending != 0 {
+		t.Fatal("a replayed feedback round queued a replica push")
+	}
+}
+
+// TestProxyRandomOrderPollReplicates: a random-order groups poll bumps the
+// session's mut_seq on its owner, so the proxy pushes the replica after it
+// as after feedback, with no health tick to wait for (the tick is an hour).
+func TestProxyRandomOrderPollReplicates(t *testing.T) {
+	var urls []string
+	for range 2 {
+		srv := server.New(server.Config{ClusterMode: true, Workers: 1, TTL: time.Hour, Logger: slog.New(slog.DiscardHandler)})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		urls = append(urls, ts.URL)
+	}
+	p, err := New(Config{Nodes: urls, HealthEvery: time.Hour, Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Close()
+	gw := httptest.NewServer(p.Handler())
+	defer gw.Close()
+
+	body, _ := json.Marshal(server.CreateSessionRequest{CSV: figure1CSV, Rules: figure1Rules, Seed: 1})
+	resp, err := http.Post(gw.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created server.CreateSessionResponse
+	_ = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %s", resp.Status)
+	}
+	token := created.Session.ID
+	resp, err = http.Get(gw.URL + "/v1/sessions/" + token + "/groups?order=random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("random-order poll: %s", resp.Status)
+	}
+
+	ctx := context.Background()
+	owner := p.Ring().Lookup(token)
+	infos, err := p.listNode(ctx, owner, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	for _, s := range infos {
+		if s.ID == token {
+			seq = s.MutSeq
+		}
+	}
+	if seq == 0 {
+		t.Fatalf("the owner lists %s at mut_seq 0 after a random-order poll", token)
+	}
+	holder := replicaTarget(p.Ring(), token, owner)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		reps, err := p.listReplicas(ctx, holder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range reps {
+			if rep.Token == token && rep.Seq == seq {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the replica holder lists %+v, never %s at the owner's watermark %d", reps, token, seq)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReplicatorWaitsPushDelay: a push reaches the replica node no sooner
+// than pushDelay after the enqueue that woke the replicator.
+func TestReplicatorWaitsPushDelay(t *testing.T) {
+	p, nodes, _ := newTestProxy(t, 2, nil)
+	p.Start()
+	defer p.Close()
+	token := strings.Repeat("5e", 16)
+	nodeByURL(nodes, p.currentRing().Lookup(token)).put(token, "")
+	start := time.Now()
+	p.enqueueReplicate(token)
+	rep := waitReplica(t, replicaOf(p, nodes, token), token)
+	if waited := rep.at.Sub(start); waited < pushDelay {
+		t.Fatalf("the push reached the replica node %v after its enqueue, want at least %v", waited, pushDelay)
+	}
+}
+
+// TestReplicatorCoalescesDuringWait: enqueues of one token made while the
+// replicator waits ride one drain, so they make one PUT.
+func TestReplicatorCoalescesDuringWait(t *testing.T) {
+	p, nodes, _ := newTestProxy(t, 2, nil)
+	p.Start()
+	defer p.Close()
+	token := strings.Repeat("6f", 16)
+	nodeByURL(nodes, p.currentRing().Lookup(token)).put(token, "")
+	repNode := replicaOf(p, nodes, token)
+	// The wait starts no sooner than the first enqueue, so every enqueue
+	// that returns less than pushDelay after it lands before the drain.
+	first := time.Now()
+	last := first
+	for last.Sub(first) < pushDelay/2 {
+		p.enqueueReplicate(token)
+		last = time.Now()
+	}
+	if span := last.Sub(first); span >= pushDelay {
+		t.Skipf("the enqueues spanned %v, past the %v wait", span, pushDelay)
+	}
+	waitReplica(t, repNode, token)
+	p.drainMu.Lock() // wait out the drain that made the PUT
+	p.replMu.Lock()
+	pending := len(p.replPend)
+	p.replMu.Unlock()
+	p.drainMu.Unlock()
+	if puts := repNode.count("PUT /v1/replicas/" + token); puts != 1 || pending != 0 {
+		t.Fatalf("enqueues during the wait made %d PUTs and left %d tokens queued, want 1 and 0", puts, pending)
 	}
 }
 
