@@ -44,11 +44,11 @@
 // either way.
 //
 // The proxy's own surface: GET /healthz (ring version, per-node health),
-// GET /readyz (the load-balancer signal — 503 while a failover or
-// migration is in flight or the ring just changed), and GET /metrics
-// (per-node request counts, migration counts and latency, replica
-// pushes/promotions, ring version) — all served locally, never
-// forwarded.
+// GET /readyz (the load-balancer signal — 503 while a session move is in
+// flight, or after a ring change until a settle pass has placed every
+// session on a node that holds it), and GET /metrics (per-node request
+// counts, migration counts and latency, replica pushes/promotions, ring
+// version) — all served locally, never forwarded.
 package main
 
 import (
@@ -72,10 +72,8 @@ import (
 type options struct {
 	addr         string
 	nodes        string
-	vnodes       int
 	healthEvery  time.Duration
 	failAfter    int
-	settleGrace  time.Duration
 	adminKey     string
 	adminKeyFile string
 	drain        time.Duration
@@ -87,10 +85,8 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&opts.nodes, "nodes", "", "comma-separated gdrd base URLs, e.g. http://127.0.0.1:9001,http://127.0.0.1:9002")
-	flag.IntVar(&opts.vnodes, "vnodes", 0, "virtual nodes per node on the hash ring (0 = default)")
 	flag.DurationVar(&opts.healthEvery, "health-every", 500*time.Millisecond, "membership probe cadence")
 	flag.IntVar(&opts.failAfter, "fail-after", 3, "consecutive failed probes before a node is declared dead")
-	flag.DurationVar(&opts.settleGrace, "settle-grace", 2*time.Second, "window after a ring change in which upstream 404s answer as retryable 503s")
 	flag.StringVar(&opts.adminKey, "admin-key", "", "admin bearer key the proxy presents for migration traffic (keyfile-authenticated nodes)")
 	flag.StringVar(&opts.adminKeyFile, "admin-key-file", "", "file holding the admin key (first line; overrides -admin-key)")
 	flag.DurationVar(&opts.drain, "drain", 30*time.Second, "graceful shutdown timeout")
@@ -149,11 +145,9 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 	}
 	p, err := cluster.New(cluster.Config{
 		Nodes:       nodes,
-		VNodes:      opts.vnodes,
 		AdminKey:    adminKey,
 		HealthEvery: opts.healthEvery,
 		FailAfter:   opts.failAfter,
-		SettleGrace: opts.settleGrace,
 		Logger:      logger,
 	})
 	if err != nil {
@@ -175,7 +169,7 @@ func run(ctx context.Context, opts options, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 	logger.Info(fmt.Sprintf("gdrproxy: serving on %s", ln.Addr()),
-		"nodes", len(nodes), "vnodes", opts.vnodes,
+		"nodes", len(nodes),
 		"health_every", opts.healthEvery, "fail_after", opts.failAfter, "admin", adminKey != "")
 
 	errc := make(chan error, 1)

@@ -90,7 +90,6 @@ func TestProxyDaemonEndToEnd(t *testing.T) {
 			nodes:       nodes,
 			healthEvery: 50 * time.Millisecond,
 			failAfter:   2,
-			settleGrace: 250 * time.Millisecond,
 			drain:       5 * time.Second,
 			logFormat:   "text",
 			logLevel:    "error",

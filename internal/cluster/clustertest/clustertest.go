@@ -72,9 +72,9 @@ func (c *Cluster) KillAndWipe(i int) {
 	}
 }
 
-// WaitReady blocks until the gateway's /readyz reports ready — no failover
-// or migration in flight and the post-ring-change settle window closed —
-// or the deadline passes.
+// WaitReady blocks until the gateway's /readyz reports ready — no
+// migration in flight, and a settle pass has run since the last ring
+// change — or the deadline passes.
 func (c *Cluster) WaitReady(deadline time.Duration) {
 	c.tb.Helper()
 	end := time.Now().Add(deadline)

@@ -79,7 +79,7 @@ func (p *Proxy) checkAll() {
 			st.fails++
 			if !st.dead && st.fails >= p.cfg.FailAfter {
 				died = true
-				st.dead = true
+				st.dead, st.orphaned = true, true
 				if p.ring.Has(node) {
 					p.ring = p.ring.Remove(node)
 					p.markSettlingLocked()

@@ -125,7 +125,6 @@ func Start(opts Options) (*Cluster, error) {
 		Nodes:       urls,
 		HealthEvery: 50 * time.Millisecond,
 		FailAfter:   2,
-		SettleGrace: 250 * time.Millisecond,
 		Logger:      slog.New(slog.DiscardHandler),
 		Faults:      opts.Faults,
 	})

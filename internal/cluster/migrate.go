@@ -16,7 +16,9 @@ import (
 
 // The migration protocol. A session moves in four steps:
 //
-//	drain   — the token is marked migrating; new requests for it wait
+//	drain   — the token is marked migrating; new requests for it wait, and
+//	          the move waits until the forwards already routed to the
+//	          source have returned, so none reaches it after the export
 //	export  — POST src/…/snapshot captures the session (the export rides
 //	          the source actor queue behind every in-flight command, and
 //	          holds an eviction lease, so the bytes are complete and safe)
@@ -109,8 +111,15 @@ func (p *Proxy) inventory(ctx context.Context) (map[string][]sessionCopy, error)
 // ring points elsewhere or a superseded copy survives its delete, and the
 // pin drops once the ring owner holds the only copy. It returns the kept
 // copy of every session, in token order. Callers hold workMu, so no token
-// is mid-move, and pass a full inventory.
-func (p *Proxy) settle(ctx context.Context, inv map[string][]sessionCopy) []sessionCopy {
+// is mid-move, and pass a full inventory and the ring version they read
+// before taking it.
+//
+// Every session is then routed to a node holding it, so settle records
+// that version as settled (never lowering the recorded one) and the proxy
+// answers 404s as 404s again (see unsettled) — unless a dead node's
+// sessions still wait for failover to promote them: its listing was not
+// in the inventory.
+func (p *Proxy) settle(ctx context.Context, inv map[string][]sessionCopy, version uint64) []sessionCopy {
 	tokens := make([]string, 0, len(inv))
 	for token := range inv {
 		tokens = append(tokens, token)
@@ -142,6 +151,14 @@ func (p *Proxy) settle(ctx context.Context, inv map[string][]sessionCopy) []sess
 		}
 		p.mu.Unlock()
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, st := range p.nodes {
+		if st.orphaned {
+			return kept
+		}
+	}
+	p.settled = max(p.settled, version)
 	return kept
 }
 
@@ -164,13 +181,13 @@ func freshest(copies []sessionCopy, routed string) sessionCopy {
 // before the first migration starts, so a request for a not-yet-moved
 // session still reaches its current home.
 func (p *Proxy) rebalance(ctx context.Context) error {
+	ring := p.currentRing()
 	inv, err := p.inventory(ctx)
 	if err != nil {
 		return err
 	}
-	ring := p.currentRing()
 	var moves []move
-	for _, c := range p.settle(ctx, inv) {
+	for _, c := range p.settle(ctx, inv, ring.Version()) {
 		if want := ring.Lookup(c.info.ID); want != "" && want != c.node {
 			moves = append(moves, move{token: c.info.ID, tenant: c.info.Tenant, from: c.node, to: want})
 		}
@@ -210,9 +227,12 @@ func (p *Proxy) runMoves(ctx context.Context, moves []move) error {
 // delete; on failure the override stays pointing at src, which still
 // authoritatively holds the session.
 func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
-	ch := make(chan struct{})
+	mg := &migration{done: make(chan struct{}), idle: make(chan struct{})}
 	p.mu.Lock()
-	p.migrating[m.token] = ch
+	p.migrating[m.token] = mg
+	if p.inflight[m.token] == 0 {
+		close(mg.idle)
+	}
 	p.mu.Unlock()
 
 	start := time.Now()
@@ -227,7 +247,7 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 			delete(p.overrides, m.token)
 		}
 		p.mu.Unlock()
-		close(ch)
+		close(mg.done)
 		if err != nil {
 			p.reg.Counter("gdrproxy_migration_failures_total").Inc()
 			p.log.Warn("migration failed; session stays on source",
@@ -243,6 +263,14 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 
 	ctx, cancel := context.WithTimeout(ctx, migrateTimeout)
 	defer cancel()
+	// A request routed to the source just before the mark may still be on
+	// its way there: exported before it lands, its answered round would be
+	// deleted with the source.
+	select {
+	case <-mg.idle:
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: waiting out forwards of %s to %s: %w", m.token, m.from, ctx.Err())
+	}
 	if ferr := p.cfg.Faults.Fault(FaultExport); ferr != nil {
 		return fmt.Errorf("cluster: exporting %s from %s: %w", m.token, m.from, ferr)
 	}
@@ -346,14 +374,11 @@ func (p *Proxy) deleteSession(ctx context.Context, node, token string) error {
 // cluster converges back to primary + replica under the new placement.
 // Callers hold workMu.
 func (p *Proxy) failover(ctx context.Context, node string) {
+	// A settle pass counts again after this one: its caller holds workMu
+	// until the promotions are done (see settle).
 	p.mu.Lock()
-	p.recover++
+	p.nodes[node].orphaned = false
 	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.recover--
-		p.mu.Unlock()
-	}()
 	ring := p.currentRing()
 	if ring.Len() == 0 {
 		return

@@ -42,8 +42,6 @@ type Config struct {
 	// "http://127.0.0.1:9001". All start presumed live; the health loop
 	// corrects that within FailAfter checks.
 	Nodes []string
-	// VNodes is the virtual-node count per node (DefaultVNodes if 0).
-	VNodes int
 	// AdminKey is the bearer key the proxy itself presents for membership
 	// work: listing sessions across tenants, exporting, importing and
 	// deleting during migrations. Empty for open-mode (keyfile-less) nodes.
@@ -53,10 +51,6 @@ type Config struct {
 	// FailAfter is how many consecutive probe failures declare a node dead
 	// (default 3).
 	FailAfter int
-	// SettleGrace is how long after a ring change a 404 from a node is
-	// answered as 503 + Retry-After instead: the session may still be in
-	// flight between nodes (default 2s).
-	SettleGrace time.Duration
 	// Logger receives the proxy's structured logs (slog.Default if nil).
 	Logger *slog.Logger
 	// Client carries the proxy's own requests to its nodes: health probes,
@@ -72,10 +66,19 @@ type Config struct {
 // nodeState is one node's health view; whether it is live is whether the
 // ring holds it. All fields are guarded by the owning Proxy's mu.
 type nodeState struct {
-	fails   int  // consecutive failed probes
-	succs   int  // consecutive successful probes while dead (rejoin hysteresis)
-	drained bool // operator-removed; health must not re-admit it to the ring
-	dead    bool // declared dead by the health loop; unlisted until admit applies rule 1
+	fails    int  // consecutive failed probes
+	succs    int  // consecutive successful probes while dead (rejoin hysteresis)
+	drained  bool // operator-removed; health must not re-admit it to the ring
+	dead     bool // declared dead by the health loop; unlisted until admit applies rule 1
+	orphaned bool // declared dead, and failover has not yet promoted its sessions
+}
+
+// migration is one token's move in flight: the token's new requests park
+// on done until the move ends, and the move waits on idle until the
+// forwards routed to its source before it began have returned.
+type migration struct {
+	done chan struct{}
+	idle chan struct{}
 }
 
 // Proxy is the stateless cluster gateway: it consistent-hashes session
@@ -104,12 +107,12 @@ type Proxy struct {
 	workMu sync.Mutex
 
 	mu        sync.Mutex
-	ring      *Ring                    // gdr:guarded-by mu — current immutable ring
-	nodes     map[string]*nodeState    // gdr:guarded-by mu
-	overrides map[string]string        // gdr:guarded-by mu — token -> node, routing pins
-	migrating map[string]chan struct{} // gdr:guarded-by mu — tokens mid-move; closed when done
-	recover   int                      // gdr:guarded-by mu — dead-node recoveries in flight
-	settleTil time.Time                // gdr:guarded-by mu — 404→503 window after ring changes
+	ring      *Ring                 // gdr:guarded-by mu — current immutable ring
+	nodes     map[string]*nodeState // gdr:guarded-by mu
+	overrides map[string]string     // gdr:guarded-by mu — token -> node, routing pins
+	migrating map[string]*migration // gdr:guarded-by mu — tokens mid-move
+	inflight  map[string]int        // gdr:guarded-by mu — token -> forwards routed and not yet returned
+	settled   uint64                // gdr:guarded-by mu — ring version of the last settle pass (see settle)
 
 	// Replication queue: tokens whose replica copy is behind (a mutating
 	// round landed, or placement moved) and tokens whose replicas must be
@@ -141,9 +144,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
 	}
-	if cfg.SettleGrace <= 0 {
-		cfg.SettleGrace = 2 * time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -152,10 +152,11 @@ func New(cfg Config) (*Proxy, error) {
 		reg:       metrics.NewRegistry(),
 		urls:      make(map[string]*url.URL, len(cfg.Nodes)),
 		requests:  make(map[string]*metrics.Counter, len(cfg.Nodes)),
-		ring:      NewRing(cfg.VNodes),
+		ring:      NewRing(),
 		nodes:     make(map[string]*nodeState, len(cfg.Nodes)),
 		overrides: make(map[string]string),
-		migrating: make(map[string]chan struct{}),
+		migrating: make(map[string]*migration),
+		inflight:  make(map[string]int),
 		replPend:  make(map[string]struct{}),
 		replDrop:  make(map[string]struct{}),
 		replWake:  make(chan struct{}, 1),
@@ -181,6 +182,9 @@ func New(cfg Config) (*Proxy, error) {
 		p.ring = p.ring.Add(n)
 		p.nodes[n] = &nodeState{}
 	}
+	// A fresh proxy starts settled: it has moved nothing, and what it
+	// finds on the nodes its first audit settles.
+	p.settled = p.ring.Version()
 	p.mu.Unlock()
 	p.rp = &httputil.ReverseProxy{
 		Rewrite: func(pr *httputil.ProxyRequest) {
@@ -268,41 +272,67 @@ func (p *Proxy) currentRing() *Ring {
 	return p.ring
 }
 
-// routeToken picks the node serving a token right now: its routing pin if
-// one is set (a pending move, or a kept copy off its ring owner), the ring
-// owner otherwise. Zero-alloc — this
-// plus the ring lookup is the per-request routing cost.
+// routeToken picks the node serving a token right now (see routeLocked).
 func (p *Proxy) routeToken(token string) string {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.routeLocked(token)
+}
+
+// routeLocked picks the node serving a token: its routing pin if one is
+// set (a pending move, or a kept copy off its ring owner), the ring owner
+// otherwise. Zero-alloc — this is the per-request routing cost. Callers
+// hold p.mu.
+func (p *Proxy) routeLocked(token string) string {
 	if n, ok := p.overrides[token]; ok {
-		p.mu.Unlock()
 		return n
 	}
-	r := p.ring
-	p.mu.Unlock()
-	return r.Lookup(token)
+	return p.ring.Lookup(token)
 }
 
-// migratingCh returns the wait channel if the token is mid-migration.
-func (p *Proxy) migratingCh(token string) chan struct{} {
+// enter routes one session request in one step with its count: if the
+// token is mid-move it returns the move's done channel to wait on;
+// otherwise it returns the node serving the token and counts the request
+// in flight for the token until leave.
+func (p *Proxy) enter(token string) (string, <-chan struct{}) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.migrating[token]
+	if m := p.migrating[token]; m != nil {
+		return "", m.done
+	}
+	p.inflight[token]++
+	return p.routeLocked(token), nil
 }
 
-// unsettled reports whether a 404 from a node may be transient: a
-// migration or recovery is in flight, or the ring changed moments ago.
+// leave ends a request enter counted. The token's last one to return lets
+// a move that started meanwhile go ahead.
+func (p *Proxy) leave(token string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := p.inflight[token] - 1; n > 0 {
+		p.inflight[token] = n
+		return
+	}
+	delete(p.inflight, token)
+	if m := p.migrating[token]; m != nil {
+		close(m.idle)
+	}
+}
+
+// unsettled reports whether a 404 from a node may be transient: a token is
+// mid-move, or the ring is newer than the last settle pass, so a session
+// may still be on its way to the node the ring now names.
 func (p *Proxy) unsettled() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.recover > 0 || len(p.migrating) > 0 || time.Now().Before(p.settleTil)
+	return len(p.migrating) > 0 || p.ring.Version() > p.settled
 }
 
-// markSettlingLocked opens the 404→503 grace window after a ring change
-// and sets the gdrproxy_ring_version and gdrproxy_nodes_live gauges from
-// the new ring; callers hold p.mu.
+// markSettlingLocked publishes a ring change on the gdrproxy_ring_version
+// and gdrproxy_nodes_live gauges. The new ring's version is newer than the
+// last settle pass, so the proxy is unsettled from here until a pass
+// settles at it; callers hold p.mu.
 func (p *Proxy) markSettlingLocked() {
-	p.settleTil = time.Now().Add(p.cfg.SettleGrace)
 	p.reg.Gauge("gdrproxy_ring_version").Set(int64(p.ring.Version()))
 	p.reg.Gauge("gdrproxy_nodes_live").Set(int64(p.ring.Len()))
 }
@@ -331,20 +361,24 @@ func (p *Proxy) handleCreate(w http.ResponseWriter, r *http.Request) {
 	p.forward(w, r, node)
 }
 
-// handleSession forwards every per-session verb to the token's node,
-// waiting out an in-flight migration first so the client lands on the
-// session's new home instead of racing the move.
+// handleSession forwards every per-session verb to the token's node. A
+// request for a token mid-move waits the move out, so the client lands on
+// the session's new home instead of racing the move; any other is counted
+// in flight until its forward returns, so a move that starts meanwhile
+// exports the source only after it (see migrate).
 func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	token := r.PathValue("id")
-	if ch := p.migratingCh(token); ch != nil {
+	node, moving := p.enter(token)
+	for moving != nil {
 		select {
-		case <-ch:
+		case <-moving:
 		case <-r.Context().Done():
 			writeUnavailable(w, "migration in progress")
 			return
 		}
+		node, moving = p.enter(token)
 	}
-	node := p.routeToken(token)
+	defer p.leave(token)
 	if node == "" {
 		p.reg.Counter("gdrproxy_no_node_total").Inc()
 		writeUnavailable(w, "no live nodes")
@@ -376,9 +410,9 @@ func (p *Proxy) upstreamError(w http.ResponseWriter, r *http.Request, err error)
 
 // modifyResponse watches successful upstream answers to drive replication
 // (a mutated or created session needs its replica refreshed; a deleted one
-// needs it dropped), then rewrites transient 404s during migration
-// windows: after a ring change a session can be between nodes for a
-// moment, and "retry shortly" is the truthful answer where "gone" is not.
+// needs it dropped), then rewrites the 404s of an unsettled proxy: while a
+// session may be between nodes, "retry shortly" is the truthful answer
+// where "gone" is not.
 func (p *Proxy) modifyResponse(resp *http.Response) error {
 	if resp.Request == nil {
 		return nil
@@ -545,10 +579,11 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the load-balancer signal, split from /healthz: the proxy
 // process being up (healthz, always 200 while serving) is not the same as
-// the cluster being safe to take traffic. Readiness goes 503 while a
-// failover or migration is in flight, during the post-ring-change settle
-// grace, or with zero live nodes — exactly the windows where a new request
-// would likely land on a 404 or a dead upstream.
+// the cluster being safe to take traffic. Readiness goes 503 while the
+// proxy is unsettled (a move in flight, or a ring change no settle pass
+// has placed every session after) or with zero live nodes — exactly the
+// windows where a new request would likely land on a 404 or a dead
+// upstream.
 func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	live := p.currentRing().Len()
 	w.Header().Set("Content-Type", "application/json")

@@ -810,15 +810,24 @@ func TestProxyCreateWaitsForFirstReplica(t *testing.T) {
 	}
 }
 
-// TestProxy404RetryableWhileUnsettled: during a migration/recovery window
-// a 404 from a node means "in flight", and the proxy must answer with the
-// retryable 503 dialect instead.
-func TestProxy404RetryableWhileUnsettled(t *testing.T) {
-	p, _, ts := newTestProxy(t, 1, nil)
-	token := strings.Repeat("ee", 16)
+// drainWithoutRebalance makes the ring change RemoveNode makes before its
+// rebalance: the node is drained and leaves the ring, and no settle pass
+// has followed yet.
+func drainWithoutRebalance(p *Proxy, node string) {
 	p.mu.Lock()
-	p.recover++
+	p.nodes[node].drained = true
+	p.ring = p.ring.Remove(node)
 	p.mu.Unlock()
+}
+
+// TestProxy404RetryableWhileUnsettled: between a ring change and the settle
+// pass after it, a 404 from a node may mean "in flight", and the proxy must
+// answer with the retryable 503 dialect instead; once the pass has run, a
+// 404 is a 404.
+func TestProxy404RetryableWhileUnsettled(t *testing.T) {
+	p, nodes, ts := newTestProxy(t, 2, nil)
+	token := strings.Repeat("ee", 16)
+	drainWithoutRebalance(p, nodes[1].ts.URL)
 	resp, err := http.Get(ts.URL + "/v1/sessions/" + token + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -830,10 +839,9 @@ func TestProxy404RetryableWhileUnsettled(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("unsettled 503 missing Retry-After")
 	}
-	p.mu.Lock()
-	p.recover--
-	p.settleTil = time.Time{}
-	p.mu.Unlock()
+	if err := p.Rebalance(context.Background()); err != nil {
+		t.Fatalf("settle pass: %v", err)
+	}
 	resp, err = http.Get(ts.URL + "/v1/sessions/" + token + "/status")
 	if err != nil {
 		t.Fatal(err)
@@ -850,7 +858,6 @@ func TestProxyHealthLoopDetectsDeath(t *testing.T) {
 	p, nodes, _ := newTestProxy(t, 2, func(c *Config) {
 		c.HealthEvery = 10 * time.Millisecond
 		c.FailAfter = 2
-		c.SettleGrace = 50 * time.Millisecond
 	})
 	p.Start()
 	defer p.Close()
@@ -889,6 +896,24 @@ func TestRouteTokenZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("routeToken allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestForwardCountZeroAlloc pins the in-flight count every session request
+// carries — counted in on routing, out when its forward returns — at zero
+// heap allocations in steady state.
+func TestForwardCountZeroAlloc(t *testing.T) {
+	p, _, _ := newTestProxy(t, 3, nil)
+	token := strings.Repeat("ff", 16)
+	allocs := testing.AllocsPerRun(1000, func() {
+		node, moving := p.enter(token)
+		if node == "" || moving != nil {
+			t.Fail()
+		}
+		p.leave(token)
+	})
+	if allocs != 0 {
+		t.Fatalf("counting a forward in and out allocates %.1f times per request, want 0", allocs)
 	}
 }
 

@@ -248,22 +248,22 @@ func (p *Proxy) dropReplicas(ctx context.Context, gone map[string]struct{}) {
 // push for every replica that is missing, misplaced, or behind its
 // primary's mutation sequence. Without a full inventory it does nothing:
 // settling on a partial view could delete or re-route to the wrong copy.
+// With one, it also ends an unsettled stretch a failed rebalance left (see
+// settle), with one configured node too, though that holds no replicas.
 // Runs on every health tick and after ring changes (via the tick that
 // applied them).
 func (p *Proxy) auditReplicas(ctx context.Context) {
-	if len(p.cfg.Nodes) < 2 {
-		return // one node: no duplicates, no distinct node to hold replicas
-	}
 	p.workMu.Lock()
 	defer p.workMu.Unlock()
+	version := p.currentRing().Version()
 	inv, err := p.inventory(ctx)
 	if err != nil {
 		return
 	}
-	kept := p.settle(ctx, inv)
+	kept := p.settle(ctx, inv, version)
 	ring := p.currentRing()
 	if ring.Len() < 2 {
-		return
+		return // no distinct node to hold replicas
 	}
 	// Every kept copy is routed (settle pins one off its ring owner), so
 	// every kept copy replicates.

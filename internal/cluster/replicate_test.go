@@ -52,7 +52,7 @@ func waitReplica(t *testing.T, n *fakeNode, key string) fakeReplica {
 // live node distinct from the owner, deterministic per key, and absent on
 // rings too small to hold a second copy.
 func TestRingLookupReplica(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if r.LookupReplica("any") != "" {
 		t.Fatal("empty ring should have no replica")
 	}
@@ -449,9 +449,9 @@ func TestProxyAuditReplicatesPinnedSession(t *testing.T) {
 
 // TestProxyReadyzSplitsFromHealthz: /healthz keeps answering 200 while the
 // cluster is unsettled, /readyz goes 503 — the probe a load balancer
-// should watch.
+// should watch — and answers 200 again once a settle pass has run.
 func TestProxyReadyzSplitsFromHealthz(t *testing.T) {
-	p, _, ts := newTestProxy(t, 2, nil)
+	p, nodes, ts := newTestProxy(t, 2, nil)
 	get := func(path string) int {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -460,27 +460,19 @@ func TestProxyReadyzSplitsFromHealthz(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	p.mu.Lock()
-	p.settleTil = time.Time{}
-	p.mu.Unlock()
 	if code := get("/readyz"); code != http.StatusOK {
-		t.Fatalf("settled readyz: %d", code)
+		t.Fatalf("readyz at boot: %d", code)
 	}
-	p.mu.Lock()
-	p.recover++
-	p.mu.Unlock()
+	drainWithoutRebalance(p, nodes[1].ts.URL)
 	if code := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz during failover: %d, want 503", code)
+		t.Fatalf("readyz after a ring change: %d, want 503", code)
 	}
 	if code := get("/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz during failover: %d, want 200", code)
+		t.Fatalf("healthz after a ring change: %d, want 200", code)
 	}
-	p.mu.Lock()
-	p.recover--
-	p.settleTil = time.Now().Add(time.Minute)
-	p.mu.Unlock()
-	if code := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz during settle grace: %d, want 503", code)
+	p.auditReplicas(context.Background())
+	if code := get("/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz after the settle pass: %d, want 200", code)
 	}
 }
 

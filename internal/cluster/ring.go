@@ -23,10 +23,12 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node fan-out per physical node. 64 points
-// per node keeps the expected load imbalance across a handful of nodes in
-// the few-percent range while the whole ring stays small enough to rebuild
-// on every membership change.
+// DefaultVNodes is the virtual-node fan-out of every node on every ring. 64
+// points per node keeps the expected load imbalance across a handful of
+// nodes in the few-percent range while the whole ring stays small enough to
+// rebuild on every membership change. It is not configurable: proxies in
+// front of one node set must hash each token to the same owner, or each
+// one's rebalance would move the others' sessions back.
 const DefaultVNodes = 64
 
 // point is one virtual node on the ring.
@@ -40,21 +42,14 @@ type point struct {
 // for the duration of a routing decision, so a concurrent membership change
 // can never tear a lookup. The zero ring owns nothing — Lookup returns "".
 type Ring struct {
-	vnodes  int
 	version uint64
 	points  []point  // sorted by hash, ties broken by node name
 	nodes   []string // sorted member list
 }
 
-// NewRing builds an empty ring with the given virtual-node fan-out
-// (DefaultVNodes when n < 1). Its version is 0; every membership change
+// NewRing builds an empty ring. Its version is 0; every membership change
 // increments it.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = DefaultVNodes
-	}
-	return &Ring{vnodes: n}
-}
+func NewRing() *Ring { return &Ring{} }
 
 // fnv64a hashes a string with FNV-1a. Hand-rolled (rather than hash/fnv)
 // so the routing hot path hashes a token with zero allocations.
@@ -160,10 +155,10 @@ func (r *Ring) slot(key string) int {
 }
 
 // rebuild constructs the sorted point list for a member set.
-func rebuild(nodes []string, vnodes int) []point {
-	points := make([]point, 0, len(nodes)*vnodes)
+func rebuild(nodes []string) []point {
+	points := make([]point, 0, len(nodes)*DefaultVNodes)
 	for _, n := range nodes {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			points = append(points, point{hash: vnodeHash(n, i), node: n})
 		}
 	}
@@ -189,9 +184,8 @@ func (r *Ring) Add(node string) *Ring {
 	nodes = append(nodes, node)
 	sort.Strings(nodes)
 	return &Ring{
-		vnodes:  r.vnodes,
 		version: r.version + 1,
-		points:  rebuild(nodes, r.vnodes),
+		points:  rebuild(nodes),
 		nodes:   nodes,
 	}
 }
@@ -209,9 +203,8 @@ func (r *Ring) Remove(node string) *Ring {
 		}
 	}
 	return &Ring{
-		vnodes:  r.vnodes,
 		version: r.version + 1,
-		points:  rebuild(nodes, r.vnodes),
+		points:  rebuild(nodes),
 		nodes:   nodes,
 	}
 }

@@ -26,7 +26,7 @@ func testNodes(n int) []string {
 }
 
 func ringOf(nodes ...string) *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range nodes {
 		r = r.Add(n)
 	}
@@ -71,7 +71,7 @@ func checkTotalCoverage(t *testing.T, r *Ring, keys []string) {
 
 func TestRingLookupEmptyAndSingle(t *testing.T) {
 	keys := testKeys(100, 1)
-	empty := NewRing(0)
+	empty := NewRing()
 	checkTotalCoverage(t, empty, keys)
 	if empty.Version() != 0 {
 		t.Fatalf("fresh ring version = %d, want 0", empty.Version())
@@ -198,7 +198,7 @@ func TestRingLookupZeroAlloc(t *testing.T) {
 // it) over a ring, returning every intermediate snapshot.
 func applyOps(ops []byte) []*Ring {
 	pool := testNodes(8)
-	r := NewRing(16)
+	r := NewRing()
 	rings := []*Ring{r}
 	for _, op := range ops {
 		n := pool[int(op%8)]

@@ -42,7 +42,7 @@ echo "== boot gdrproxy over both nodes"
 boot_daemon gdrproxy "$workdir/proxy.log" "$workdir/gdrproxy" \
   -addr 127.0.0.1:0 \
   -nodes "$node1,$node2" \
-  -health-every 100ms -fail-after 2 -settle-grace 500ms
+  -health-every 100ms -fail-after 2
 proxy_pid=$daemon_pid proxy=$daemon_base
 pids+=("$proxy_pid")
 curl -fsS "$proxy/healthz" | jq -e '.live_nodes == 2' >/dev/null
