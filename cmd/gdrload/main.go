@@ -111,7 +111,6 @@ type ClusterReport struct {
 	KilledNode    string     `json:"killed_node,omitempty"`
 	RingVersion   uint64     `json:"ring_version"`
 	Migrations    int64      `json:"migrations"`
-	Recovered     int64      `json:"recovered_sessions"`
 	ReplicaPushes int64      `json:"replica_pushes"`
 	Promotions    int64      `json:"replica_promotions"`
 	PerNode       []NodeLoad `json:"per_node"`
@@ -476,7 +475,6 @@ func clusterReport(rig *inproc.Cluster, killed string, sessionIDs []string) *Clu
 		KilledNode:    killed,
 		RingVersion:   ring.Version(),
 		Migrations:    reg.Counter("gdrproxy_migrations_total").Value(),
-		Recovered:     reg.Counter("gdrproxy_recovered_sessions_total").Value(),
 		ReplicaPushes: reg.Counter("gdrproxy_replica_pushes_total").Value(),
 		Promotions:    reg.Counter("gdrproxy_replica_promotions_total").Value(),
 	}

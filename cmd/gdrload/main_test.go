@@ -49,7 +49,7 @@ func TestProxyClusterLoadRun(t *testing.T) {
 	if requests == 0 {
 		t.Fatal("proxy forwarded no requests")
 	}
-	if rep.Cluster.Recovered == 0 && rep.Cluster.Migrations == 0 {
+	if rep.Cluster.Promotions == 0 && rep.Cluster.Migrations == 0 {
 		t.Fatal("the crash triggered neither recovery nor migration")
 	}
 	// The acceptance bar: every tenant drove its repair to completion

@@ -12,10 +12,11 @@
 // Membership is the -nodes list plus a health loop: a node failing
 // -fail-after consecutive probes leaves the ring, and a recovered node
 // rejoins (after -fail-after consecutive clean probes — symmetric
-// hysteresis, so a flapping node cannot thrash the ring) with a
-// rebalance. Session moves use the nodes' own snapshot machinery — drain,
-// export, import under the original token, delete the source — so a
-// migrated session is byte-identical to one that never moved.
+// hysteresis, so a flapping node cannot thrash the ring), and the
+// placement pass moves its sessions back. Session moves use the nodes' own
+// snapshot machinery — drain, export, import under the original token,
+// delete the source — so a migrated session is byte-identical to one that
+// never moved.
 //
 // Sessions survive node loss shared-nothing: a create answers only once
 // the session's first replica has landed in the replica spill store of the
@@ -27,15 +28,17 @@
 // pushes are asynchronous, so a node lost for good takes with it the
 // rounds since its last landed push (gdrd_replica_lag_rounds).
 //
-// One rule decides which copy of a session is real, re-derived from the
-// nodes' own listings on every health tick, so nothing of it is lost when
-// the proxy restarts. A node returning from the dead first loses its
-// copies of every session another node serves: they predate the failover.
-// Any other duplicate (a move's leftover, a drained node's copy) loses to
-// the copy with the higher mutation watermark, and among equal watermarks
-// the routed copy stays. The rule acts only when every node not declared
-// dead has listed its sessions; while one cannot, nothing is deleted or
-// re-routed.
+// One rule decides which copy of a session is real. One placement pass
+// re-derives it from the nodes' own listings on every health tick and at
+// once on every membership change, so nothing of it is lost when the
+// proxy restarts, and a promotion or move that a failed listing or a
+// failed move skipped is retried on the next tick. A node returning from
+// the dead first loses its copies of every session another node serves:
+// they predate the promotion. Any other duplicate (a move's leftover, a
+// drained node's copy) loses to the copy with the higher mutation
+// watermark, and among equal watermarks the routed copy stays. The rule
+// acts only when every node not declared dead has listed its sessions;
+// while one cannot, nothing is deleted, promoted or re-routed.
 //
 // Against keyfile-authenticated nodes, -admin-key (or -admin-key-file)
 // must name an admin tenant's key: the proxy uses it for its own

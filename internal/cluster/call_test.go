@@ -126,6 +126,76 @@ func TestProxyPresentsAdminKey(t *testing.T) {
 	}
 }
 
+// TestProxyListPassesNodeRefusal runs the session listing against
+// keyfile-authenticated nodes. A caller with no key or an unknown key gets
+// the nodes' 401 and its WWW-Authenticate challenge through the proxy, as
+// from a node itself, not an empty listing; a tenant's key still lists
+// that tenant's sessions.
+func TestProxyListPassesNodeRefusal(t *testing.T) {
+	const adminKey, acmeKey = "admin-key-0001", "acme-key-0001"
+	tenants, err := server.ParseKeyfile(strings.NewReader(adminKey + " ops admin\n" + acmeKey + " acme\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for range 2 {
+		srv := server.New(server.Config{ClusterMode: true, Tenants: tenants, Workers: 1, TTL: time.Hour, Logger: slog.New(slog.DiscardHandler)})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		urls = append(urls, ts.URL)
+	}
+	p, err := New(Config{Nodes: urls, AdminKey: adminKey, HealthEvery: time.Hour, Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(p.Handler())
+	t.Cleanup(gw.Close)
+	send := func(method, key string, body []byte) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, gw.URL+"/v1/sessions", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != "" {
+			req.Header.Set("Authorization", "Bearer "+key)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	body, _ := json.Marshal(server.CreateSessionRequest{CSV: figure1CSV, Rules: figure1Rules, Seed: 1})
+	resp := send(http.MethodPost, acmeKey, body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create through the proxy: %s", resp.Status)
+	}
+	var created server.CreateSessionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"", "unknown-key-0001"} {
+		resp := send(http.MethodGet, key, nil)
+		var eb server.ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		if resp.StatusCode != http.StatusUnauthorized || resp.Header.Get("WWW-Authenticate") == "" || eb.Error == "" {
+			t.Fatalf("listing with key %q: %s, WWW-Authenticate %q, error %q; want the nodes' 401 with its challenge and text",
+				key, resp.Status, resp.Header.Get("WWW-Authenticate"), eb.Error)
+		}
+	}
+	var list server.SessionList
+	resp = send(http.MethodGet, acmeKey, nil)
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(list.Sessions) != 1 || list.Sessions[0].ID != created.Session.ID {
+		t.Fatalf("acme's listing through the proxy: %s %+v, want its one session", resp.Status, list.Sessions)
+	}
+}
+
 // TestNodeCallErrors pins the error contract of the proxy's own calls: a
 // node answering with a status the call does not expect yields an error
 // that names the status and carries the node's error text. The health

@@ -17,8 +17,9 @@ import (
 // flapping at the probe frequency cannot thrash the ring in either
 // direction. Ring changes happen only here and in the explicit
 // AddNode/RemoveNode calls, so membership is single-writer. Each round
-// ends with the replica anti-entropy sweep, which converges every session
-// toward one fresh primary plus one fresh replica.
+// ends with the placement pass (see reconcile), which retries whatever an
+// earlier pass could not do and converges every session toward one fresh
+// primary on its ring owner plus one fresh replica.
 func (p *Proxy) healthLoop() {
 	defer p.healthWG.Done()
 	timer := time.NewTimer(p.jitteredCadence())
@@ -27,7 +28,9 @@ func (p *Proxy) healthLoop() {
 		select {
 		case <-timer.C:
 			p.checkAll()
-			p.auditReplicas(context.Background())
+			// A failed listing or move is logged where it fails, and the
+			// next tick's pass retries it.
+			_ = p.Rebalance(context.Background())
 			timer.Reset(p.jitteredCadence())
 		case <-p.stop:
 			return
@@ -48,10 +51,11 @@ func (p *Proxy) jitteredCadence() time.Duration {
 }
 
 // checkAll runs one probe round over the configured node set. A death
-// fails the node's sessions over from their replicas; a return is admitted
-// only once the node has shed its superseded copies (see admit), and until
-// then every further good probe retries. Drained nodes are probed too: one
-// that dies is not listed again until it has shed its copies the same way.
+// runs the placement pass at once, which promotes the node's sessions from
+// their replicas; a return is admitted only once the node has shed its
+// superseded copies (see admit), and until then every further good probe
+// retries. Drained nodes are probed too: one that dies is not listed again
+// until it has shed its copies the same way.
 func (p *Proxy) checkAll() {
 	ctx := context.Background()
 	for _, node := range p.cfg.Nodes {
@@ -91,15 +95,12 @@ func (p *Proxy) checkAll() {
 		case died:
 			p.log.Warn("node declared dead", "node", node, "fail_after", p.cfg.FailAfter)
 			p.reg.LabeledCounter("gdrproxy_node_deaths_total", "node", node).Inc()
-			p.workMu.Lock()
-			p.failover(ctx, node)
-			p.rebalance(ctx)
-			p.workMu.Unlock()
+			_ = p.Rebalance(ctx) // what it cannot do, the tick's own pass retries
 		case revived:
 			p.workMu.Lock()
 			err := p.admit(ctx, node, true)
 			if err == nil {
-				p.rebalance(ctx)
+				_ = p.reconcile(ctx) // what it cannot do, the tick's own pass retries
 			}
 			p.workMu.Unlock()
 			if err != nil {
@@ -126,7 +127,7 @@ var errNotDead = errors.New("cluster: node no longer dead")
 // a drained node drained. It first takes a full inventory; if a listing
 // fails, nothing changes. A node the health loop declared dead then
 // applies rule 1: its copies of every session a listed node now holds
-// are deleted, since they predate the failover and the promoted copy has
+// are deleted, since they predate the promotion and the promoted copy has
 // served clients since. A restarted copy can even carry a higher watermark
 // than the promoted one (the replica lagged) while holding a different
 // history, so no watermark can settle this. If a delete fails, the node
@@ -187,28 +188,29 @@ func (p *Proxy) probe(node string) bool {
 	return true
 }
 
-// AddNode grows the ring by one live node and rebalances sessions onto it.
-// The node must be in the configured set (static membership: the health
-// loop only probes configured nodes). It is the test- and operator-driven
-// twin of a health-loop revival, so it skips the hysteresis — the operator
-// has asserted the node is fit — but not rule 1, nor the full inventory
-// rule 1 and the rebalance need (see admit).
+// AddNode grows the ring by one live node and runs the placement pass,
+// which moves sessions onto it. The node must be in the configured set
+// (static membership: the health loop only probes configured nodes). It is
+// the test- and operator-driven twin of a health-loop revival, so it skips
+// the hysteresis — the operator has asserted the node is fit — but not
+// rule 1, nor the full inventory rule 1 and the pass need (see admit).
 func (p *Proxy) AddNode(ctx context.Context, node string) error {
 	p.workMu.Lock()
 	defer p.workMu.Unlock()
 	if err := p.admit(ctx, node, false); err != nil {
 		return err
 	}
-	return p.rebalance(ctx)
+	return p.reconcile(ctx)
 }
 
 // RemoveNode gracefully drains a node: it leaves the ring first (new
-// sessions avoid it), then the rebalance migrates every session it holds
-// to its new ring owner. The node stays up and healthy throughout — this
-// is the planned-maintenance path, not the crash path. A drain that cannot
-// list every copy cannot be planned, so the node then stays in the ring
-// and the error says why. A node already declared dead stays dead: its
-// copies are not listed until it returns and sheds them (see admit).
+// sessions avoid it), then the placement pass migrates every session it
+// holds to its new ring owner, and a move that fails is retried on every
+// health tick. The node stays up and healthy throughout — this is the
+// planned-maintenance path, not the crash path. A drain that cannot list
+// every copy cannot be planned, so the node then stays in the ring and the
+// error says why. A node already declared dead stays dead: its copies are
+// not listed until it returns and sheds them (see admit).
 func (p *Proxy) RemoveNode(ctx context.Context, node string) error {
 	p.workMu.Lock()
 	defer p.workMu.Unlock()
@@ -228,7 +230,7 @@ func (p *Proxy) RemoveNode(ctx context.Context, node string) error {
 	p.ring = p.ring.Remove(node)
 	p.markSettlingLocked()
 	p.mu.Unlock()
-	return p.rebalance(ctx)
+	return p.reconcile(ctx)
 }
 
 type errUnknownNode string

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -35,16 +37,18 @@ import (
 // watermark, and that copy stands in for the import only when it is at
 // least as fresh as the source's; otherwise the move fails and the source
 // stays routed. A failed source delete leaves a superseded copy behind, so
-// routing is pinned to dst until an audit deletes the leftover.
+// routing is pinned to dst until a later pass deletes the leftover. A
+// failed move is retried by the next pass, on the next health tick.
 //
-// Which copy of a session is real is decided by one rule, re-derived from
-// the nodes' own listings on every audit and before every rebalance, so a
-// restarted proxy rebuilds it from nothing:
+// Which copy of a session is real is decided by one rule. One placement
+// pass (reconcile) re-derives it from the nodes' own listings on every
+// health tick and every membership change, so a restarted proxy rebuilds
+// it from nothing:
 //
 //  1. The serving lineage wins. A node the health loop declared dead loses
 //     its copies of every session a listed node holds before it is listed
-//     again (see admit): those copies predate the failover, and watermarks
-//     cannot order them against the promoted copy's history.
+//     again (see admit): those copies predate the promotion, and
+//     watermarks cannot order them against the promoted copy's history.
 //  2. Within the lineage, the freshest watermark wins. Moves and
 //     promotions copy state forward and only the routed copy is mutated,
 //     so any other duplicate is ordered by watermark, and equal watermarks
@@ -116,9 +120,9 @@ func (p *Proxy) inventory(ctx context.Context) (map[string][]sessionCopy, error)
 //
 // Every session is then routed to a node holding it, so settle records
 // that version as settled (never lowering the recorded one) and the proxy
-// answers 404s as 404s again (see unsettled) — unless a dead node's
-// sessions still wait for failover to promote them: its listing was not
-// in the inventory.
+// answers 404s as 404s again (see unsettled) — unless a node is still
+// orphaned: a death declared during the pass, or one whose sessions the
+// pass could not promote.
 func (p *Proxy) settle(ctx context.Context, inv map[string][]sessionCopy, version uint64) []sessionCopy {
 	tokens := make([]string, 0, len(inv))
 	for token := range inv {
@@ -174,37 +178,66 @@ func freshest(copies []sessionCopy, routed string) sessionCopy {
 	return keep
 }
 
-// rebalance settles every session to one copy, then moves each kept copy
-// whose ring owner is another node — off drained nodes, and onto nodes that
-// joined. Without a full inventory it does neither and returns the error.
-// Callers hold workMu. Overrides for all pending moves are installed
-// before the first migration starts, so a request for a not-yet-moved
-// session still reaches its current home.
-func (p *Proxy) rebalance(ctx context.Context) error {
-	ring := p.currentRing()
+// reconcile is the placement pass, the one step that acts on the recovery
+// rule. From one inventory it promotes the sessions a death left without a
+// live copy, settles each session to one copy, moves every kept copy onto
+// its ring owner, and queues the replica pushes that placement needs. The
+// health loop runs it on every tick, and a death, a revival, AddNode,
+// RemoveNode, Rebalance and SyncReplicas run it at once, so a step that a
+// failed listing or a failed move skipped is retried on the next tick.
+// Without a full inventory it changes nothing and returns the error;
+// otherwise it returns the first failed move's. Callers hold workMu.
+func (p *Proxy) reconcile(ctx context.Context) error {
+	// The ring and the orphan marks are read before the inventory. A death
+	// declared after this point may have copies the inventory still lists
+	// as live, so its promotion, and its mark, are the next pass's.
+	p.mu.Lock()
+	ring := p.ring
+	var orphans []*nodeState
+	for _, n := range p.cfg.Nodes {
+		if st := p.nodes[n]; st.orphaned {
+			orphans = append(orphans, st)
+		}
+	}
+	p.mu.Unlock()
 	inv, err := p.inventory(ctx)
 	if err != nil {
 		return err
 	}
+	held, heldOK := p.listReplicaStores(ctx, ring)
+	// A replica a failed listing hides may be the freshest, and an empty
+	// ring has no node to promote onto: then the marks wait for a pass that
+	// can promote.
+	if len(orphans) > 0 && ring.Len() > 0 && heldOK {
+		p.promoteOrphans(ctx, ring, inv, held)
+		p.mu.Lock()
+		for _, st := range orphans {
+			st.orphaned = false
+		}
+		p.mu.Unlock()
+	}
+	kept := p.settle(ctx, inv, ring.Version())
 	var moves []move
-	for _, c := range p.settle(ctx, inv, ring.Version()) {
+	for _, c := range kept {
 		if want := ring.Lookup(c.info.ID); want != "" && want != c.node {
 			moves = append(moves, move{token: c.info.ID, tenant: c.info.Tenant, from: c.node, to: want})
 		}
 	}
-	return p.runMoves(ctx, moves)
+	err = p.runMoves(ctx, moves)
+	p.queueReplicas(ctx, ring, kept, held, heldOK)
+	return err
 }
 
-// Rebalance is the operator/test resync entry point: delete superseded
-// copies, then move every session onto its ring owner.
+// Rebalance is the operator/test resync entry point: it runs the placement
+// pass at once, under workMu.
 func (p *Proxy) Rebalance(ctx context.Context) error {
 	p.workMu.Lock()
 	defer p.workMu.Unlock()
-	return p.rebalance(ctx)
+	return p.reconcile(ctx)
 }
 
 // runMoves executes planned migrations serially, in the given order
-// (rebalance plans them in token order: deterministic and gentle, one
+// (reconcile plans them in token order: deterministic and gentle, one
 // session in flight at a time). The first error does not stop the sweep —
 // every move is attempted — but is reported.
 func (p *Proxy) runMoves(ctx context.Context, moves []move) error {
@@ -290,7 +323,7 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 	if err := p.deleteSession(ctx, m.from, m.token); err != nil {
 		pinned = true
 		p.reg.Counter("gdrproxy_stale_source_total").Inc()
-		p.log.Warn("migration source delete failed; routing pinned to the destination until an audit deletes it",
+		p.log.Warn("migration source delete failed; routing pinned to the destination until a placement pass deletes it",
 			"token", m.token, "from", m.from, "err", err)
 	}
 	return nil
@@ -365,73 +398,42 @@ func (p *Proxy) deleteSession(ctx context.Context, node, token string) error {
 	return nil
 }
 
-// failover restores a dead node's sessions from the survivors' replica
-// stores — shared-nothing: nothing of the dead node is read, not even its
-// disk. A session counts as orphaned unless some live copy's watermark is
-// at least its freshest replica's. An orphan's live copies are all older
-// than that replica, so they are deleted, and the replica is imported onto
-// the session's new ring owner and queued for re-replication, so the
-// cluster converges back to primary + replica under the new placement.
-// Callers hold workMu.
-func (p *Proxy) failover(ctx context.Context, node string) {
-	// A settle pass counts again after this one: its caller holds workMu
-	// until the promotions are done (see settle).
-	p.mu.Lock()
-	p.nodes[node].orphaned = false
-	p.mu.Unlock()
-	ring := p.currentRing()
-	if ring.Len() == 0 {
-		return
-	}
-	// An unreadable ring member might hold a live copy, and promoting over
-	// it would fork the session.
-	inv, err := p.inventory(ctx)
-	if err != nil {
-		p.log.Warn("failover: a listed node's sessions are unknown; skipping replica promotion",
-			"dead", node, "err", err)
-		return
-	}
+// promoteOrphans is the pass's failover step, shared-nothing: nothing of a
+// dead node is read, not even its disk. A session's freshest replica
+// (among equal watermarks, the first holder in ring order) is promoted
+// onto its ring owner unless some live copy's watermark is at least the
+// replica's. Its live copies are then all older, so promote deletes them
+// first. Each promoted copy replaces its session's entry in inv, so settle
+// treats it like any kept copy. A failed promotion is counted and logged,
+// and is not retried.
+func (p *Proxy) promoteOrphans(ctx context.Context, ring *Ring, inv map[string][]sessionCopy, held map[string]map[string]server.ReplicaInfo) {
 	type candidate struct {
 		holder string
 		info   server.ReplicaInfo
 	}
 	best := make(map[string]candidate) // token → freshest replica
 	for _, n := range ring.Nodes() {
-		reps, err := p.listReplicas(ctx, n)
-		if err != nil {
-			p.log.Warn("failover: listing replicas failed", "node", n, "err", err)
-			continue
-		}
-		for _, rep := range reps {
+		for _, rep := range held[n] {
 			if cur, ok := best[rep.Token]; !ok || rep.Seq > cur.info.Seq {
 				best[rep.Token] = candidate{holder: n, info: rep}
 			}
 		}
 	}
-	tokens := make([]string, 0, len(best))
-	for token := range best {
-		tokens = append(tokens, token)
-	}
-	sort.Strings(tokens)
-	promoted := 0
-	for _, token := range tokens {
+	for _, token := range slices.Sorted(maps.Keys(best)) {
 		c := best[token]
-		want := ring.Lookup(token)
-		if live := inv[token]; want == "" || len(live) > 0 && freshest(live, "").info.MutSeq >= c.info.Seq {
+		if live := inv[token]; len(live) > 0 && freshest(live, "").info.MutSeq >= c.info.Seq {
 			continue
 		}
+		want := ring.Lookup(token)
 		if err := p.promote(ctx, c.holder, c.info, want, inv[token]); err != nil {
 			p.reg.Counter("gdrproxy_recovery_failures_total").Inc()
 			p.log.Warn("promoting replica failed", "token", token, "from", c.holder, "to", want, "err", err)
 			continue
 		}
-		promoted++
 		p.reg.Counter("gdrproxy_replica_promotions_total").Inc()
-		p.log.Info("promoted replica", "token", token, "seq", c.info.Seq,
-			"from", c.holder, "to", want, "dead", node)
-		p.enqueueReplicate(token)
+		p.log.Info("promoted replica", "token", token, "seq", c.info.Seq, "from", c.holder, "to", want)
+		inv[token] = []sessionCopy{{node: want, info: server.SessionInfo{ID: token, Tenant: c.info.Tenant, MutSeq: c.info.Seq}}}
 	}
-	p.reg.Counter("gdrproxy_recovered_sessions_total").Add(int64(promoted))
 }
 
 // promote imports one replica onto its session's ring owner, first

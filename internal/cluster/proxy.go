@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -70,7 +71,7 @@ type nodeState struct {
 	succs    int  // consecutive successful probes while dead (rejoin hysteresis)
 	drained  bool // operator-removed; health must not re-admit it to the ring
 	dead     bool // declared dead by the health loop; unlisted until admit applies rule 1
-	orphaned bool // declared dead, and failover has not yet promoted its sessions
+	orphaned bool // declared dead, and no placement pass has yet promoted its sessions
 }
 
 // migration is one token's move in flight: the token's new requests park
@@ -101,8 +102,8 @@ type Proxy struct {
 	// itself; Close releases their idle connections (read-only after New).
 	transports []*http.Transport
 
-	// workMu serializes placement work — rebalances, drains, failovers,
-	// node admissions and audits — so each acts on an inventory no other
+	// workMu serializes placement work — the placement pass (reconcile),
+	// drains and node admissions — so each acts on an inventory no other
 	// pass is changing, and no token is mid-move while copies are settled.
 	workMu sync.Mutex
 
@@ -125,7 +126,7 @@ type Proxy struct {
 	replWake chan struct{}       // buffered(1) doorbell for the replicator
 	// drainMu serializes queue drains: SyncReplicas holds it throughout, so
 	// the replicator cannot take (and silently fail) a push the sync's own
-	// audit queued.
+	// placement pass queued.
 	drainMu sync.Mutex
 
 	stop     chan struct{}
@@ -183,7 +184,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.nodes[n] = &nodeState{}
 	}
 	// A fresh proxy starts settled: it has moved nothing, and what it
-	// finds on the nodes its first audit settles.
+	// finds on the nodes its first placement pass settles.
 	p.settled = p.ring.Version()
 	p.mu.Unlock()
 	p.rp = &httputil.ReverseProxy{
@@ -410,9 +411,12 @@ func (p *Proxy) upstreamError(w http.ResponseWriter, r *http.Request, err error)
 
 // modifyResponse watches successful upstream answers to drive replication
 // (a mutated or created session needs its replica refreshed; a deleted one
-// needs it dropped), then rewrites the 404s of an unsettled proxy: while a
-// session may be between nodes, "retry shortly" is the truthful answer
-// where "gone" is not.
+// needs it dropped), then rewrites a session's 404 while the proxy is
+// unsettled, or once the token no longer routes to the node that answered:
+// a request routed before a settle pass can be answered after it, by a
+// node the pass has routed the session away from. While a session may be
+// between nodes, "retry shortly" is the truthful answer where "gone" is
+// not.
 func (p *Proxy) modifyResponse(resp *http.Response) error {
 	if resp.Request == nil {
 		return nil
@@ -421,7 +425,9 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 	if resp.StatusCode != http.StatusNotFound {
 		return nil
 	}
-	if !strings.HasPrefix(resp.Request.URL.Path, "/v1/sessions/") || !p.unsettled() {
+	token := sessionTokenFromPath(resp.Request.URL.Path)
+	from, _ := resp.Request.Context().Value(targetKey{}).(*url.URL)
+	if token == "" || !p.unsettled() && p.urls[p.routeToken(token)] == from {
 		return nil
 	}
 	p.reg.Counter("gdrproxy_notfound_retries_total").Inc()
@@ -443,13 +449,24 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 // (the holders inventory asks, drained nodes included) and merges: the
 // cluster's sessions are the union of its nodes'. The caller's own
 // credentials travel with each fan-out leg, so tenants see exactly what
-// they would see asking each node themselves. A session two nodes list (a
-// migration's transient overlap, or a superseded copy whose delete
+// they would see asking each node themselves, and a caller a node refuses
+// (a 4xx) gets that refusal, as from the node itself. A session two nodes
+// list (a migration's transient overlap, or a superseded copy whose delete
 // failed) is reported as the copy routing points at, the one it serves.
 func (p *Proxy) handleList(w http.ResponseWriter, r *http.Request) {
 	merged := make(map[string]server.SessionInfo)
 	for _, node := range p.holders() {
 		infos, err := p.listNode(r.Context(), node, r.Header.Get("Authorization"))
+		var refused *statusError
+		if errors.As(err, &refused) && refused.code/100 == 4 {
+			for _, h := range []string{"WWW-Authenticate", "Retry-After"} {
+				if v := refused.header.Get(h); v != "" {
+					w.Header().Set(h, v)
+				}
+			}
+			writeProxyError(w, refused.code, refused.text)
+			return
+		}
 		if err != nil {
 			p.log.Warn("list fan-out leg failed", "node", node, "err", err)
 			continue
@@ -490,8 +507,8 @@ func (p *Proxy) listNode(ctx context.Context, node, auth string) ([]server.Sessi
 // whose status is in want is returned for its caller to read or close;
 // its body's Close first drains up to maxDrain bytes the caller left
 // unread, so the connection goes back to the pool instead of being
-// dropped. Any other status becomes an error carrying it and the node's
-// error text.
+// dropped. Any other status becomes a *statusError carrying it, the
+// node's response header and its error text.
 func (p *Proxy) call(ctx context.Context, method, target, auth string, body io.Reader, header http.Header, want ...int) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
@@ -510,8 +527,18 @@ func (p *Proxy) call(ctx context.Context, method, target, auth string, body io.R
 		return resp, nil
 	}
 	defer resp.Body.Close()
-	return nil, fmt.Errorf("%s: %s", resp.Status, readErrorBody(resp.Body))
+	return nil, &statusError{status: resp.Status, code: resp.StatusCode, header: resp.Header, text: readErrorBody(resp.Body)}
 }
+
+// statusError is a node's answer with a status its caller did not expect.
+type statusError struct {
+	status string // "401 Unauthorized"
+	code   int
+	header http.Header
+	text   string // the node's error text
+}
+
+func (e *statusError) Error() string { return e.status + ": " + e.text }
 
 // adminAuth renders the proxy's own Authorization header value ("" in
 // open mode).

@@ -46,7 +46,13 @@ type fakeNode struct {
 	calls    []string // "METHOD path" log, in arrival order
 	down     bool     // refuse everything with a closed-ish 500
 	unlisted bool     // answer session listings 503, as a node that cannot list
+	// replicaGate, once armed, holds the next replica listing until its
+	// release channel closes (see holdReplicaListing).
+	replicaGate *listingGate
 }
+
+// listingGate is a one-shot hold on a fakeNode's replica listing.
+type listingGate struct{ arrived, release chan struct{} }
 
 func newFakeNode(t *testing.T) *fakeNode {
 	t.Helper()
@@ -135,6 +141,13 @@ func newFakeNode(t *testing.T) *fakeNode {
 	mux.HandleFunc("GET /v1/replicas", func(w http.ResponseWriter, r *http.Request) {
 		n.record(r)
 		n.mu.Lock()
+		if g := n.replicaGate; g != nil {
+			n.replicaGate = nil
+			n.mu.Unlock()
+			close(g.arrived)
+			<-g.release
+			n.mu.Lock()
+		}
 		list := server.ReplicaList{}
 		for key, rep := range n.replicas {
 			tenant, token := "", key
@@ -623,11 +636,11 @@ func TestProxyMoveConflictNeedsFresherCopy(t *testing.T) {
 
 // TestProxyPartialInventorySettlesNothing: a copy a failed listing hides
 // may be the one routing points at, so while any listed node cannot list,
-// neither the audit nor a rebalance deletes a copy or moves routing, and a
-// drain is refused with membership unchanged. Each case holds the routed
-// copy at watermark 5 and an older leftover at watermark 3 on the ring
-// owner; once the listing heals, the leftover goes and the routed copy
-// ends on the ring owner.
+// the placement pass deletes no copy and moves no routing, and a drain is
+// refused with membership unchanged. Each case holds the routed copy at
+// watermark 5 and an older leftover at watermark 3 on the ring owner; once
+// the listing heals, the leftover goes and the routed copy ends on the
+// ring owner.
 func TestProxyPartialInventorySettlesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -680,12 +693,10 @@ func TestProxyPartialInventorySettlesNothing(t *testing.T) {
 			routed.mu.Lock()
 			routed.unlisted = true
 			routed.mu.Unlock()
-			p.auditReplicas(context.Background())
-			mustHold("audit")
 			if err := p.Rebalance(context.Background()); err == nil {
-				t.Fatal("a rebalance without a full inventory reported success")
+				t.Fatal("a placement pass without a full inventory reported success")
 			}
-			mustHold("rebalance")
+			mustHold("placement pass")
 			ringBefore := p.currentRing().Version()
 			if err := p.RemoveNode(context.Background(), nodes[2].ts.URL); err == nil {
 				t.Fatal("a drain without a full inventory reported success")
@@ -752,10 +763,12 @@ func TestProxyFailoverOrphanRule(t *testing.T) {
 			survivors[0].mu.Unlock()
 			survivors[1].putReplica(token, 5, []byte("replica-v5"))
 			p.mu.Lock()
-			p.nodes[owner].dead = true
+			p.nodes[owner].dead, p.nodes[owner].orphaned = true, true
 			p.ring = p.ring.Remove(owner)
 			p.mu.Unlock()
-			p.failover(context.Background(), owner)
+			if err := p.Rebalance(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
 			want := "live"
 			if tc.promoted {
@@ -849,6 +862,44 @@ func TestProxy404RetryableWhileUnsettled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("settled miss: code = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestProxy404FromNodeRoutedAway: a settled proxy passes a node's 404
+// through only while the token still routes to that node. A request routed
+// before a settle pass pinned its token elsewhere is answered after it,
+// and its 404 from the node the pass routed away from is the retryable
+// 503.
+func TestProxy404FromNodeRoutedAway(t *testing.T) {
+	p, nodes, _ := newTestProxy(t, 2, nil)
+	token := strings.Repeat("f5", 16)
+	owner := p.currentRing().Lookup(token)
+	other := nodes[0].ts.URL
+	if other == owner {
+		other = nodes[1].ts.URL
+	}
+	answer := func(from string) int {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, from+"/v1/sessions/"+token+"/status", nil)
+		req = req.WithContext(context.WithValue(req.Context(), targetKey{}, p.urls[from]))
+		resp := &http.Response{StatusCode: http.StatusNotFound, Request: req, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(`{"error":"session not found"}`))}
+		if err := p.modifyResponse(resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	if code := answer(owner); code != http.StatusNotFound {
+		t.Fatalf("the routed node's 404: %d, want 404", code)
+	}
+	p.mu.Lock()
+	p.overrides[token] = other
+	p.mu.Unlock()
+	if code := answer(owner); code != http.StatusServiceUnavailable {
+		t.Fatalf("a 404 from the node the token was routed away from: %d, want 503", code)
+	}
+	if code := answer(other); code != http.StatusNotFound {
+		t.Fatalf("the pinned node's 404: %d, want 404", code)
 	}
 }
 

@@ -33,10 +33,11 @@ import (
 //	          landed push. (gdrd_replica_lag_rounds is not that live
 //	          exposure: it counts the rounds the node's latest accepted
 //	          push skipped over.)
-//	promote — when a node dies, failover() imports the freshest replica of
-//	          each orphaned session onto its new ring owner — no access to
-//	          the dead node's disk required.
-//	audit   — every health tick the anti-entropy sweep settles duplicate
+//	promote — when a node dies, the next placement pass (reconcile)
+//	          imports the freshest replica of each session left without a
+//	          live copy onto its ring owner — no access to the dead node's
+//	          disk required.
+//	audit   — the same pass, on every health tick, settles duplicate
 //	          primaries (see settle), re-derives the desired placement
 //	          (each kept copy is a routed primary; its replica goes to
 //	          LookupReplica, or to the ring owner for a copy pinned onto
@@ -243,40 +244,17 @@ func (p *Proxy) dropReplicas(ctx context.Context, gone map[string]struct{}) {
 	}
 }
 
-// auditReplicas is the anti-entropy sweep: settle duplicate primaries,
-// re-derive the desired replica placement from the kept copies and queue a
-// push for every replica that is missing, misplaced, or behind its
-// primary's mutation sequence. Without a full inventory it does nothing:
-// settling on a partial view could delete or re-route to the wrong copy.
-// With one, it also ends an unsettled stretch a failed rebalance left (see
-// settle), with one configured node too, though that holds no replicas.
-// Runs on every health tick and after ring changes (via the tick that
-// applied them).
-func (p *Proxy) auditReplicas(ctx context.Context) {
-	p.workMu.Lock()
-	defer p.workMu.Unlock()
-	version := p.currentRing().Version()
-	inv, err := p.inventory(ctx)
-	if err != nil {
-		return
-	}
-	kept := p.settle(ctx, inv, version)
-	ring := p.currentRing()
-	if ring.Len() < 2 {
-		return // no distinct node to hold replicas
-	}
-	// Every kept copy is routed (settle pins one off its ring owner), so
-	// every kept copy replicates.
-	desired := make(map[string]replicaWant, len(kept)) // replica key → requirement
-	for _, c := range kept {
-		desired[server.SessionKey(c.info.Tenant, c.info.ID)] = replicaWant{token: c.info.ID, seq: c.info.MutSeq, target: replicaTarget(ring, c.info.ID, c.node)}
-	}
-	inventoryOK := true
-	held := make(map[string]map[string]server.ReplicaInfo) // node → key → info
+// listReplicaStores lists every ring member's replica store once for a
+// placement pass, by node and key, and reports whether every listing
+// succeeded.
+func (p *Proxy) listReplicaStores(ctx context.Context, ring *Ring) (map[string]map[string]server.ReplicaInfo, bool) {
+	ok := true
+	held := make(map[string]map[string]server.ReplicaInfo, ring.Len()) // node → key → info
 	for _, node := range ring.Nodes() {
 		reps, err := p.listReplicas(ctx, node)
 		if err != nil {
-			inventoryOK = false
+			p.log.Warn("listing replicas failed", "node", node, "err", err)
+			ok = false
 			continue
 		}
 		byKey := make(map[string]server.ReplicaInfo, len(reps))
@@ -285,29 +263,37 @@ func (p *Proxy) auditReplicas(ctx context.Context) {
 		}
 		held[node] = byKey
 	}
-	for key, w := range desired {
-		rep, ok := held[w.target][key]
-		if !ok || rep.Seq < w.seq {
-			p.enqueueReplicate(w.token)
-		}
-	}
-	p.gcReplicas(ctx, desired, held, inventoryOK)
+	return held, ok
 }
 
-// replicaWant is one session's replication requirement, derived from the
-// live inventory during an audit.
-type replicaWant struct {
-	token  string
-	seq    uint64
-	target string
+// queueReplicas is the pass's anti-entropy step. Every kept copy is a
+// routed primary (settle pins one off its ring owner), so every kept copy
+// replicates: a push is queued for each whose replica is missing from its
+// target or behind its watermark, the target following where the copy is
+// routed after the pass's moves. Then the quiet-cluster GC runs over the
+// pass's replica listing.
+func (p *Proxy) queueReplicas(ctx context.Context, ring *Ring, kept []sessionCopy, held map[string]map[string]server.ReplicaInfo, heldOK bool) {
+	if ring.Len() < 2 {
+		return // no distinct node to hold replicas
+	}
+	desired := make(map[string]string, len(kept)) // replica key → target node
+	for _, c := range kept {
+		key := server.SessionKey(c.info.Tenant, c.info.ID)
+		target := replicaTarget(ring, c.info.ID, p.routeToken(c.info.ID))
+		desired[key] = target
+		if rep, ok := held[target][key]; !ok || rep.Seq < c.info.MutSeq {
+			p.enqueueReplicate(c.info.ID)
+		}
+	}
+	p.gcReplicas(ctx, desired, held, heldOK)
 }
 
 // gcReplicas deletes replicas no longer called for — the session is gone
 // or its placement moved — but only in a quiet cluster: every configured
 // node live and the whole inventory readable. Otherwise a copy that looks
-// superfluous may be the one copy left, so the sweep keeps it. (The audit
-// holds workMu, so no failover or migration is in flight.)
-func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, held map[string]map[string]server.ReplicaInfo, inventoryOK bool) {
+// superfluous may be the one copy left, so the sweep keeps it. (The pass
+// holds workMu, so no promotion or move is in flight.)
+func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]string, held map[string]map[string]server.ReplicaInfo, inventoryOK bool) {
 	if !inventoryOK {
 		return
 	}
@@ -316,7 +302,7 @@ func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, 
 	}
 	for node, byKey := range held {
 		for key := range byKey {
-			if w, ok := desired[key]; ok && w.target == node {
+			if desired[key] == node {
 				continue
 			}
 			if err := p.deleteReplica(ctx, node, key); err != nil {
@@ -330,16 +316,18 @@ func (p *Proxy) gcReplicas(ctx context.Context, desired map[string]replicaWant, 
 }
 
 // SyncReplicas drives replication to convergence right now: drain the
-// queue, audit, drain again. It is Go API, not a gdrproxy command: the
-// in-process rigs and embedders call it before deliberately killing a
-// node, so the kill provably costs nothing.
+// queue, run the placement pass, drain again. It reports the queue's
+// failures; a listing or move the pass could not make is the next health
+// tick's to retry. It is Go API, not a gdrproxy command: the in-process
+// rigs and embedders call it before deliberately killing a node, so the
+// kill provably costs nothing.
 func (p *Proxy) SyncReplicas(ctx context.Context) error {
 	p.drainMu.Lock()
 	defer p.drainMu.Unlock()
 	if err := p.drainReplication(ctx); err != nil {
 		return err
 	}
-	p.auditReplicas(ctx)
+	_ = p.Rebalance(ctx) // a failed listing or move is the next tick's to retry
 	return p.drainReplication(ctx)
 }
 

@@ -353,9 +353,12 @@ func TestProxyFailoverPromotesFromReplica(t *testing.T) {
 	dead.sessions = map[string]fakeSession{} // the node and its state are gone
 	dead.mu.Unlock()
 	p.mu.Lock()
+	p.nodes[owner].dead, p.nodes[owner].orphaned = true, true
 	p.ring = p.ring.Remove(owner)
 	p.mu.Unlock()
-	p.failover(context.Background(), owner)
+	if err := p.Rebalance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	newOwner := nodeByURL(nodes, p.currentRing().Lookup(token))
 	newOwner.mu.Lock()
@@ -470,7 +473,9 @@ func TestProxyReadyzSplitsFromHealthz(t *testing.T) {
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after a ring change: %d, want 200", code)
 	}
-	p.auditReplicas(context.Background())
+	if err := p.Rebalance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz after the settle pass: %d, want 200", code)
 	}

@@ -62,10 +62,10 @@ func TestProxySettledAfterFailover(t *testing.T) {
 	}
 }
 
-// TestProxyUnsettledUntilFullInventory: a death whose rebalance cannot list
-// every holder leaves the proxy unsettled — a 404 answers 503 with
+// TestProxyUnsettledUntilFullInventory: a death whose placement pass cannot
+// list every holder leaves the proxy unsettled — a 404 answers 503 with
 // Retry-After and /readyz answers 503 — for as long as the listing fails,
-// and the first audit that lists every holder settles it.
+// and the first pass that lists every holder settles it.
 func TestProxyUnsettledUntilFullInventory(t *testing.T) {
 	p, nodes, ts := newTestProxy(t, 3, func(c *Config) { c.FailAfter = 1 })
 	token := strings.Repeat("e2", 16)
@@ -76,7 +76,7 @@ func TestProxyUnsettledUntilFullInventory(t *testing.T) {
 	nodes[2].down = true
 	nodes[2].mu.Unlock()
 	p.checkAll()
-	for i := 0; i < 2; i++ { // an audit that cannot list settles nothing either
+	for i := 0; i < 2; i++ { // a later pass that cannot list settles nothing either
 		code, h := statusOf(t, ts.URL, token)
 		if code != http.StatusServiceUnavailable || h.Get("Retry-After") == "" {
 			t.Fatalf("pass %d: a 404 while unsettled answered %d (Retry-After %q), want 503 with Retry-After", i, code, h.Get("Retry-After"))
@@ -84,12 +84,14 @@ func TestProxyUnsettledUntilFullInventory(t *testing.T) {
 		if code := readyz(t, ts.URL); code != http.StatusServiceUnavailable {
 			t.Fatalf("pass %d: readyz while unsettled: %d, want 503", i, code)
 		}
-		p.auditReplicas(context.Background())
+		_ = p.Rebalance(context.Background()) // fails: a holder cannot list
 	}
 	nodes[1].mu.Lock()
 	nodes[1].unlisted = false
 	nodes[1].mu.Unlock()
-	p.auditReplicas(context.Background())
+	if err := p.Rebalance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if code, _ := statusOf(t, ts.URL, token); code != http.StatusNotFound {
 		t.Fatalf("unknown token after a full audit: %d, want 404", code)
 	}

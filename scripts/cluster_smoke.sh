@@ -147,7 +147,6 @@ curl -fsS "$proxy/metrics" -o "$workdir/proxy-metrics.txt"
 grep -q 'gdrproxy_node_deaths_total' "$workdir/proxy-metrics.txt"
 grep -q '^gdrproxy_replica_pushes_total [1-9]' "$workdir/proxy-metrics.txt"
 grep -q '^gdrproxy_replica_promotions_total [1-9]' "$workdir/proxy-metrics.txt"
-grep -q '^gdrproxy_recovered_sessions_total [1-9]' "$workdir/proxy-metrics.txt"
 grep -q 'gdrproxy_requests_total' "$workdir/proxy-metrics.txt"
 
 echo "== delete the session through the gateway"
