@@ -6,10 +6,13 @@
 //
 //	gdrd -addr :8080 -max-sessions 64 -ttl 30m -data-dir /var/lib/gdrd
 //
-// With -data-dir set, sessions are durable: every feedback round is
-// checkpointed to disk, the SIGTERM drain flushes a final checkpoint of
-// every live session, and a restarted daemon restores all sessions under
-// their original tokens — tenants resume exactly where they left off.
+// A session's mutations are its feedback rounds and its random-order
+// groups polls; the 200 of each carries the session's new mutation
+// watermark in X-Gdr-Mutation-Seq. With -data-dir set, sessions are
+// durable: every mutation is checkpointed to disk before it answers, the
+// SIGTERM drain flushes a final checkpoint of every live session, and a
+// restarted daemon restores all sessions under their original tokens —
+// tenants resume exactly where they left off.
 //
 // Feedback is exactly-once: a POST …/feedback carrying an
 // X-Gdr-Request-Id is applied once, and a retry with the same id replays
@@ -23,17 +26,21 @@
 // a session survives the loss of its owner's process and disk.
 //
 // With -keyfile set, the daemon is authenticated multi-tenant serving:
-// every /v1 request must present one of the file's bearer keys, sessions
-// belong to the tenant that created them, and each tenant's rate/in-flight
-// quotas (from the keyfile) shed the excess with 429 + Retry-After. CPU is
-// scheduled fairly across tenants either way, -deadline bounds each request
-// end to end, and -queue-depth bounds each session's command backlog.
+// every request to a /v1 route must present one of the file's bearer
+// keys, sessions belong to the tenant that created them, and each
+// tenant's rate/in-flight quotas (from the keyfile) shed the excess with
+// 429 + Retry-After. CPU is scheduled fairly across tenants either way,
+// -deadline bounds each request end to end, and -queue-depth bounds each
+// session's command backlog.
 //
-// Observability: every request is traced end to end, always (W3C
-// traceparent accepted and echoed; the response carries a Server-Timing
-// stage breakdown, and every span feeds the gdrd_stage_seconds histograms
-// on /metrics), logs are structured (-log-format text|json, -log-level,
-// every request line tagged with its trace_id), and completed traces are
+// Observability: every request to an API route is traced end to end,
+// always (W3C traceparent accepted and echoed; the response carries a
+// Server-Timing stage breakdown, and every span feeds the
+// gdrd_stage_seconds histograms on /metrics under the label the route
+// table gives the route), logs are structured (-log-format text|json,
+// -log-level, every traced request line tagged with its trace_id), the
+// probes are not traced, a request no route matches gets a 404 or 405
+// and is neither counted nor logged, and completed traces are
 // browsable at GET /debug/traces — served loopback-only on the main
 // listener, and also mounted on the -pprof debug port. -slow-request
 // escalates slow requests to warn-level log lines.

@@ -240,3 +240,26 @@ func TestNodeCallErrors(t *testing.T) {
 		t.Error("probe: a node answering 500 reads as healthy")
 	}
 }
+
+// TestExportWithoutWatermarkFails: a snapshot export whose 200 names no
+// well-formed watermark is a failed export, not one at watermark 0, which
+// would let any older copy stand in for the import of a move.
+func TestExportWithoutWatermarkFails(t *testing.T) {
+	for _, header := range []string{"", "seven", "-1"} {
+		node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if header != "" {
+				w.Header().Set(server.MutationSeqHeader, header)
+			}
+			_, _ = io.WriteString(w, "snap")
+		}))
+		p, err := New(Config{Nodes: []string{node.URL}, HealthEvery: time.Second, Logger: slog.New(slog.DiscardHandler)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, seq, _, err := p.exportSession(context.Background(), node.URL, "t1"); err == nil {
+			t.Errorf("%s %q: export read at watermark %d, want an error", server.MutationSeqHeader, header, seq)
+		}
+		p.Close()
+		node.Close()
+	}
+}

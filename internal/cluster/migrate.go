@@ -331,20 +331,23 @@ func (p *Proxy) migrate(ctx context.Context, m move) (err error) {
 
 // exportSession pulls a session's snapshot bytes off a node, plus the
 // mutation sequence the bytes capture (the replica push watermark) and the
-// owning tenant, both from the export's response headers. A node predating
-// those headers yields seq 0 and tenant "" — still importable, just
-// watermarked conservatively.
+// owning tenant, both from the export's response headers. An export
+// without a well-formed watermark is an error: read as 0, it would let an
+// older copy stand in for the import, and stamp a push the replica refuses.
 func (p *Proxy) exportSession(ctx context.Context, node, token string) ([]byte, uint64, string, error) {
 	resp, err := p.call(ctx, http.MethodPost, node+"/v1/sessions/"+token+"/snapshot", p.adminAuth(), nil, nil, http.StatusOK)
 	if err != nil {
 		return nil, 0, "", err
 	}
 	defer resp.Body.Close()
+	seq, err := strconv.ParseUint(resp.Header.Get(server.MutationSeqHeader), 10, 64)
+	if err != nil {
+		return nil, 0, "", fmt.Errorf("the export names no watermark: %w", err)
+	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, 0, "", err
 	}
-	seq, _ := strconv.ParseUint(resp.Header.Get(server.MutationSeqHeader), 10, 64)
 	return data, seq, resp.Header.Get(server.AssignTenantHeader), nil
 }
 

@@ -1011,7 +1011,12 @@ func TestNodeCallsReuseConnections(t *testing.T) {
 		{"importSession", http.StatusCreated, `{"session":{"id":"t1"}}`, func(p *Proxy, n string) error { return p.importSession(ctx, n, "t1", "acme", []byte("snap"), 1) }},
 		{"importSession", http.StatusConflict, `{"error":"token in use"}`, func(p *Proxy, n string) error { return p.importSession(ctx, n, "t1", "acme", []byte("snap"), 1) }},
 		{"listReplicas", http.StatusOK, `{"replicas":[]}`, func(p *Proxy, n string) error { _, err := p.listReplicas(ctx, n); return err }},
-		{"listReplicas", http.StatusNotFound, `{"error":"not found"}`, func(p *Proxy, n string) error { _, err := p.listReplicas(ctx, n); return err }},
+		{"listReplicas", http.StatusNotFound, `{"error":"not found"}`, func(p *Proxy, n string) error {
+			if _, err := p.listReplicas(ctx, n); err == nil {
+				return fmt.Errorf("a 404 listing read as an empty store")
+			}
+			return nil
+		}},
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/%d", c.name, c.status), func(t *testing.T) {

@@ -22,9 +22,9 @@ import (
 //
 //	push    — a create's first replica is pushed before the 201 goes back,
 //	          so a session has a replica from its first response; after
-//	          every other mutation the proxy sees (a feedback 200 that is
-//	          not a replay, a random-order groups 200) the token is queued,
-//	          and the replicator, pushDelay after it is woken, exports the
+//	          every other forwarded 200 that names a mutation watermark
+//	          (X-Gdr-Mutation-Seq) the token is queued, and the
+//	          replicator, pushDelay after it is woken, exports the
 //	          snapshot from the primary and PUTs it to the replica node,
 //	          watermarked with the mutation sequence the bytes capture. The
 //	          store rejects stale watermarks, so a delayed push can never
@@ -55,7 +55,13 @@ import (
 // observeForReplication inspects one successful upstream response on the
 // proxying hot path and queues replica work. Only a create waits, for its
 // first replica push; everything else is a map merge plus a
-// buffered-channel doorbell.
+// buffered-channel doorbell. gdrd names every mutation it answers (a
+// feedback round that is not a replay, a random-order groups poll) with
+// the watermark the mutation reached, so any forwarded 200 that carries
+// one queues a push, and the proxy keeps no copy of gdrd's rule for which
+// requests mutate. A snapshot export carries its watermark too, and queues
+// a push that lands as an idempotent no-op: the replica holds every
+// watermark the proxy shows a client.
 func (p *Proxy) observeForReplication(resp *http.Response) {
 	r := resp.Request
 	switch {
@@ -69,22 +75,13 @@ func (p *Proxy) observeForReplication(resp *http.Response) {
 				p.log.Warn("first replica push failed; the audit will retry", "token", token, "err", err)
 			}
 		}
-	case r.Method == http.MethodPost && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/feedback"):
-		// A replayed round (a dedup hit) changed nothing on the node.
-		if token := sessionTokenFromPath(r.URL.Path); token != "" && resp.Header.Get(server.DuplicateHeader) == "" {
-			p.enqueueReplicate(token)
-		}
-	case r.Method == http.MethodGet && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/groups") &&
-		r.URL.Query().Get("order") == "random":
-		// A random-order poll advances the session's shuffle count, so the
-		// node bumps its mut_seq (handleGroups in internal/server): a
-		// replica left behind would repeat an order the client has seen.
-		if token := sessionTokenFromPath(r.URL.Path); token != "" {
-			p.enqueueReplicate(token)
-		}
 	case r.Method == http.MethodDelete && resp.StatusCode == http.StatusOK:
 		if token := sessionTokenFromPath(r.URL.Path); token != "" && !strings.Contains(strings.TrimPrefix(r.URL.Path, "/v1/sessions/"), "/") {
 			p.enqueueDrop(token)
+		}
+	case resp.StatusCode == http.StatusOK && resp.Header.Get(server.MutationSeqHeader) != "":
+		if token := sessionTokenFromPath(r.URL.Path); token != "" {
+			p.enqueueReplicate(token)
 		}
 	}
 }
@@ -366,18 +363,13 @@ func (p *Proxy) deleteReplica(ctx context.Context, node, key string) error {
 	return nil
 }
 
-// listReplicas inventories one node's spill store. A node that does not
-// expose the replica surface (pre-replication build) reads as empty.
+// listReplicas inventories one node's spill store.
 func (p *Proxy) listReplicas(ctx context.Context, node string) ([]server.ReplicaInfo, error) {
-	resp, err := p.call(ctx, http.MethodGet, node+"/v1/replicas", p.adminAuth(), nil, nil,
-		http.StatusOK, http.StatusNotFound)
+	resp, err := p.call(ctx, http.MethodGet, node+"/v1/replicas", p.adminAuth(), nil, nil, http.StatusOK)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listing replicas on %s: %w", node, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
 	var list server.ReplicaList
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		return nil, err

@@ -169,7 +169,8 @@ func TestProxyFeedbackResponseEnqueuesPush(t *testing.T) {
 	p, _, _ := newTestProxy(t, 2, nil)
 	token := strings.Repeat("ab", 16)
 	req, _ := http.NewRequest(http.MethodPost, "http://x/v1/sessions/"+token+"/feedback", nil)
-	p.observeForReplication(&http.Response{StatusCode: http.StatusOK, Request: req})
+	p.observeForReplication(&http.Response{StatusCode: http.StatusOK, Request: req,
+		Header: http.Header{server.MutationSeqHeader: {"1"}}})
 	p.replMu.Lock()
 	_, queued := p.replPend[token]
 	p.replMu.Unlock()

@@ -31,11 +31,13 @@ const (
 // Replication and retry headers.
 const (
 	// MutationSeqHeader carries a session's mutation-sequence watermark: on
-	// a snapshot export response it stamps which mutation the bytes capture;
-	// on a replica PUT it is the push's watermark, and the spill store
-	// rejects pushes older than what it already holds (409); on a create's
-	// 409 it is the live copy's watermark (absent while that copy is still
-	// being built).
+	// the 200 of a mutation (a feedback round that is not a replay, a
+	// random-order groups poll) it is the watermark the change reached; on
+	// a snapshot export response it stamps which mutation the bytes
+	// capture; on a replica PUT it is the push's watermark, and the spill
+	// store rejects pushes older than what it already holds (409); on a
+	// create's 409 it is the live copy's watermark (absent while that copy
+	// is still being built).
 	MutationSeqHeader = "X-Gdr-Mutation-Seq"
 	// RequestIDHeader is the client-chosen idempotency key for feedback
 	// POSTs: a duplicate id within the session's dedup window replays the
@@ -115,6 +117,11 @@ func decodeCreateForm(r *http.Request) (CreateSessionRequest, error) {
 	if err := r.ParseMultipartForm(32 << 20); err != nil {
 		return req, fmt.Errorf("%w: parsing multipart form: %w", ErrBadUpload, err)
 	}
+	// File parts past 32 MiB spill to temp files. net/http removes them
+	// only from the request it handed the handler chain, and r is a copy
+	// (the middleware's WithContext), so the form's files go here, once
+	// its parts are read.
+	defer r.MultipartForm.RemoveAll()
 	// A snapshot part selects the restore-on-create path; csv and rules are
 	// then not expected (the snapshot carries the whole session).
 	if f, _, err := r.FormFile("snapshot"); err == nil {
@@ -266,13 +273,14 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 	var resp GroupsResponse
 	var etag string
 	var notModified bool
+	var m mutation
+	t := obs.FromContext(r.Context())
 	err = e.actor.do(r.Context(), "groups", func(sess *core.Session) {
 		gs := sess.Groups(order, nil)
 		if order == core.OrderRandom {
 			// The shuffle advanced the session's shuffle count, which its
-			// snapshot carries: a mutation, so the entry turns dirty and
-			// the flusher or the drain captures it.
-			e.mutSeq.Add(1)
+			// snapshot carries: a mutation.
+			m = s.store.mutate(e, sess, t)
 		}
 		etag = groupsETag(e.etagSalt, orderName, limit, sess.RankingVersion())
 		if etagMatches(inm, etag) {
@@ -299,6 +307,7 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	s.land(w, t, e, m)
 	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
@@ -407,28 +416,27 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	var encErr error
 	replay := false
-	var ckpt *captured // the round's own checkpoint; nil on a memory-only node
+	var m mutation
 	t := obs.FromContext(r.Context())
 	err := e.actor.do(r.Context(), "feedback", func(sess *core.Session) {
 		// Exactly-once retries: a request id seen within the dedup window
 		// replays the original response bytes without touching the session.
-		// Everything — the window check, the apply, the sequence bump, the
-		// response rendering and the checkpoint capture — happens inside
-		// this one command, so the snapshot holds state, watermark and
-		// window in a mutually consistent cut that includes this round.
+		// Everything — the window check, the apply, the response rendering
+		// and the mutation step — happens inside this one command, so the
+		// snapshot holds state, watermark and window in a mutually
+		// consistent cut that includes this round.
 		if reqID != "" {
 			if body, replay = e.dedup.get(reqID); replay {
 				return
 			}
 		}
 		resp = applyFeedbackBatch(sess, req)
-		e.mutSeq.Add(1)
 		if reqID != "" {
 			if body, encErr = marshalJSONBody(resp); encErr == nil {
 				e.dedup.put(reqID, body)
 			}
 		}
-		ckpt = s.store.captureRound(e, sess, t)
+		m = s.store.mutate(e, sess, t)
 	})
 	if err != nil {
 		writeError(w, err)
@@ -443,18 +451,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if body == nil && encErr == nil {
 		body, encErr = marshalJSONBody(resp)
 	}
-	// Make the round durable before answering: once the client sees this
-	// response, a daemon crash must not lose the feedback. The write runs
-	// after the turn is released, so no command queued behind the round
-	// delays the answer, and it does not consult the request context, so
-	// neither an expired deadline nor a client that hung up leaves the
-	// round undurable. A failed write is logged and retried by the
-	// periodic flusher (the durability watermark stays behind) — the
-	// in-memory decision already happened, so the response still reports
-	// it.
-	if err := s.store.checkpoint(t, e, ckpt); err != nil {
-		s.log.Warn("checkpoint after feedback failed", "session", e.id, "trace_id", t.ID(), "err", err)
-	}
+	s.land(w, t, e, m)
 	// Count per-item outcomes separately: stale is the multi-client
 	// contention signal, invalid is client misuse — lumping either into
 	// the applied rate would mislead dashboards.
@@ -478,6 +475,28 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONBytes(w, http.StatusOK, body)
+}
+
+// land completes a mutation after its command released the session's turn
+// and before the response goes out: it writes the mutation's capture
+// through checkpoint, so once a client sees the answer a crash cannot lose
+// the change, and stamps the response with the watermark the change
+// reached (MutationSeqHeader), which is how the cluster proxy learns that
+// the session changed. Writing after the turn keeps commands queued behind
+// the mutation from delaying its answer, and the write does not consult
+// the request context, so neither an expired deadline nor a client that
+// hung up leaves an answered change undurable. A failed write is logged
+// and left to the flusher's retries (the durability watermark stays
+// behind); the change already happened, so the response still reports it.
+// A zero mutation (the command changed nothing) lands nothing.
+func (s *Server) land(w http.ResponseWriter, t *obs.Trace, e *entry, m mutation) {
+	if m.seq == 0 {
+		return
+	}
+	if err := s.store.checkpoint(t, e, m.ckpt); err != nil {
+		s.log.Warn("checkpoint after mutation failed", "session", e.id, "trace_id", t.ID(), "err", err)
+	}
+	w.Header().Set(MutationSeqHeader, strconv.FormatUint(m.seq, 10))
 }
 
 // applyFeedbackBatch runs inside a command holding the session's turn.

@@ -161,16 +161,27 @@ type captured struct {
 	err  error
 }
 
-// captureRound captures, inside the command that applies a feedback round,
-// the checkpoint that makes the round durable; the handler hands it to
-// checkpoint once the turn is released. Without a data directory it
-// captures nothing and returns nil.
-func (s *Store) captureRound(e *entry, sess *core.Session, t *obs.Trace) *captured {
-	if s.dir == "" {
-		return nil
+// mutation is one session change as mutate records it: the mutation
+// sequence the change advanced the session to and, on a durable node, the
+// checkpoint that makes it durable. The zero value is no change.
+type mutation struct {
+	seq  uint64
+	ckpt *captured // nil on a memory-only node
+}
+
+// mutate is the one step that advances a session's mutation sequence. A
+// command that changes session state calls it inside its turn, once the
+// change is complete (a feedback round after it stores its dedup entry, a
+// random-order poll after it shuffles), and the handler hands the result
+// to land once the turn is released. On a durable node it also captures
+// the checkpoint, so the snapshot holds the change and its watermark.
+func (s *Store) mutate(e *entry, sess *core.Session, t *obs.Trace) mutation {
+	m := mutation{seq: e.mutSeq.Add(1)}
+	if s.dir != "" {
+		c := e.capture(sess, t)
+		m.ckpt = &c
 	}
-	c := e.capture(sess, t)
-	return &c
+	return m
 }
 
 // checkpoint is the one path from a captured snapshot to the session's
@@ -210,7 +221,7 @@ func (s *Store) encode(ctx context.Context, e *entry) (c captured) {
 
 // capture encodes the session's snapshot under an "encode" span beneath
 // the running command's exec. It runs inside a command holding the turn —
-// an encode command, or the feedback round it makes durable — and reads
+// an encode command, or the mutation it makes durable — and reads
 // the state, the mutation sequence (the watermark) and the dedup window
 // there, so the encoded triple is always mutually consistent (format v2
 // meta).

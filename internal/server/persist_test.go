@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"gdr/internal/core"
+	"gdr/internal/faultfs"
 	"gdr/internal/snapshot"
 )
 
@@ -463,13 +464,16 @@ func TestCorruptSnapshotUnderValidKeySkipped(t *testing.T) {
 
 // TestExportLandsCheckpoint: an export of a dirty durable session also lands
 // its checkpoint, at the export's own watermark, and leaves the session
-// clean. A random-order poll is the mutation: it has no checkpoint of its
-// own.
+// clean. A random-order poll is the mutation, and its own checkpoint fails
+// under an injected fsync fault.
 func TestExportLandsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 2, Session: core.Config{Workers: 1}, DataDir: dir})
+	faults := faultfs.New(1)
+	srv, ts := newTestServer(t, Config{Workers: 2, Session: core.Config{Workers: 1}, DataDir: dir, Faults: faults})
 	id := createFigure1Session(t, ts).Session.ID
+	faults.Set(faultfs.Sync, faultfs.Rule{P: 1, Err: faultfs.ErrInjected})
 	sessionGET(t, ts, id, "/groups?order=random")
+	faults.Clear()
 	e, ok := srv.Store().Get(id)
 	if !ok {
 		t.Fatal("session vanished")

@@ -158,3 +158,39 @@ func TestReadsStayReadsAcrossRestart(t *testing.T) {
 		})
 	}
 }
+
+// TestRandomOrderPollSurvivesCrash: a random-order poll on a durable node
+// is on disk when it answers, as a feedback round is. After two random
+// polls, a node booted on a copy of the data dir taken without a drain (as
+// a crash leaves it) must answer its next random poll as an unrestarted
+// control answers its third, not repeat the first.
+func TestRandomOrderPollSurvivesCrash(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+	}{{200, 13}, {400, 7}} {
+		t.Run(fmt.Sprintf("n=%d/seed=%d", tc.n, tc.seed), func(t *testing.T) {
+			csvText, rulesText, _ := hospitalUpload(t, tc.n, tc.seed)
+			_, tsC := newTestServer(t, Config{Workers: 8})
+			idC := createHTTPSession(t, tsC, csvText, rulesText, tc.seed)
+			dir := t.TempDir()
+			srvA, tsA := newDurableServer(t, dir, core.Config{})
+			defer func() { tsA.Close(); srvA.Close() }()
+			idA := createHTTPSession(t, tsA, csvText, rulesText, tc.seed)
+
+			const route = "/groups?order=random"
+			for poll := 1; poll <= 2; poll++ {
+				if sessionGET(t, tsA, idA, route) != sessionGET(t, tsC, idC, route) {
+					t.Fatalf("random poll %d diverges before the crash", poll)
+				}
+			}
+			crashed := copyDir(t, dir)
+
+			srvB, tsB := newDurableServer(t, crashed, core.Config{})
+			defer func() { tsB.Close(); srvB.Close() }()
+			if sessionGET(t, tsB, idA, route) != sessionGET(t, tsC, idC, route) {
+				t.Fatal("the random poll after a crash diverges from the unrestarted control's")
+			}
+		})
+	}
+}

@@ -27,16 +27,22 @@
 //	GET    /healthz                              liveness
 //	GET    /metrics                              Prometheus text exposition
 //
-// With Config.DataDir set, sessions are durable: every feedback round is
-// checkpointed to disk (temp-file + rename, so a crash never leaves a torn
-// snapshot), a periodic flusher retries failed writes with backoff, shutdown
-// flushes a final checkpoint of every live session, and a restarting server
-// restores all sessions under their original tokens. Checkpoints and the
-// replicas a node holds for others share one snapshot store: one
-// <key>.snap file per session key ([tenant@]token), sessions in the data
-// directory and replicas in its replicas/ subdirectory, each replaced by a
-// rename. A replica's watermark is the one its snapshot carries. The boot
-// scan loads only well-formed keys and deletes the temp files a crash left.
+// A session's mutations are its feedback rounds and its random-order groups
+// polls. One step makes each (Store.mutate, inside the command): it
+// advances the session's mutation sequence, and the mutation's 200 carries
+// the value reached in X-Gdr-Mutation-Seq.
+//
+// With Config.DataDir set, sessions are durable: every mutation is
+// checkpointed to disk before it answers (temp-file + rename, so a crash
+// never leaves a torn snapshot), a periodic flusher retries failed writes
+// with backoff, shutdown flushes a final checkpoint of every live session,
+// and a restarting server restores all sessions under their original
+// tokens. Checkpoints and the replicas a node holds for others share one
+// snapshot store: one <key>.snap file per session key ([tenant@]token),
+// sessions in the data directory and replicas in its replicas/
+// subdirectory, each replaced by a rename. A replica's watermark is the one
+// its snapshot carries. The boot scan loads only well-formed keys and
+// deletes the temp files a crash left.
 //
 // A session has one way into the store and one way out. Upload, snapshot
 // import and boot restore all enter through one admit step (token and cap
@@ -68,7 +74,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -139,15 +144,16 @@ type Config struct {
 	// subdirectory the same way. Empty disables persistence.
 	DataDir string
 	// CheckpointEvery is the cadence of the periodic flusher that retries
-	// checkpoints for sessions whose on-feedback write failed (default 30s;
-	// only meaningful with DataDir set). Feedback itself checkpoints
-	// synchronously — the flusher is the safety net, not the main path.
+	// checkpoints for sessions whose on-mutation write failed (default 30s;
+	// only meaningful with DataDir set). A mutation (a feedback round, a
+	// random-order poll) checkpoints synchronously — the flusher is the
+	// safety net, not the main path.
 	CheckpointEvery time.Duration
 	// Tenants enables authentication and per-tenant admission control: every
-	// /v1 request must present one of these bearer keys, sessions belong to
-	// the tenant that created them, and each tenant's rate/in-flight limits
-	// are enforced before any session work happens. Empty = open mode (no
-	// auth, one implicit unlimited tenant).
+	// request to a /v1 route must present one of these bearer keys, sessions
+	// belong to the tenant that created them, and each tenant's
+	// rate/in-flight limits are enforced before any session work happens.
+	// Empty = open mode (no auth, one implicit unlimited tenant).
 	Tenants []TenantConfig
 	// RequestTimeout bounds each request end to end; the deadline rides the
 	// request context while a command waits for its session's turn and CPU
@@ -257,7 +263,8 @@ func New(cfg Config) *Server {
 	reg.LabeledGauge("gdrd_build_info", "go_version", runtime.Version(), "revision", buildRevision()).Set(1)
 	// Every span of every finished trace feeds the per-stage latency
 	// histograms, the server's one source of stage timings; the label space
-	// is bounded (fixed stage names × the routeLabel set).
+	// is bounded (fixed stage names × the labels of the routes New
+	// registers).
 	tracer := obs.NewTracer(cfg.Trace)
 	hists := newStageHists(reg)
 	tracer.OnFinish = func(t *obs.Trace) {
@@ -290,24 +297,34 @@ func New(cfg Config) *Server {
 	}
 	s.replicas = newReplicaStore(replicaDir, cfg.Faults, s.log)
 	s.replicaMetrics()
+	// Each API route is registered with its label, which its traces and
+	// so its stage histograms and log lines carry; a request no pattern
+	// matches is answered by the mux (404 or 405) without instrumentation.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	mux.HandleFunc("GET /v1/sessions", s.handleList)
-	mux.HandleFunc("GET /v1/sessions/{id}/groups", s.handleGroups)
-	mux.HandleFunc("GET /v1/sessions/{id}/groups/{key}/updates", s.handleUpdates)
-	mux.HandleFunc("POST /v1/sessions/{id}/feedback", s.handleFeedback)
-	mux.HandleFunc("GET /v1/sessions/{id}/status", s.handleStatus)
-	mux.HandleFunc("GET /v1/sessions/{id}/export", s.handleExport)
-	mux.HandleFunc("POST /v1/sessions/{id}/snapshot", s.handleSnapshot)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("PUT /v1/replicas/{key}", s.handleReplicaPut)
-	mux.HandleFunc("GET /v1/replicas/{key}", s.handleReplicaGet)
-	mux.HandleFunc("DELETE /v1/replicas/{key}", s.handleReplicaDelete)
-	mux.HandleFunc("GET /v1/replicas", s.handleReplicaList)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.handler = s.instrument(s.admit(s.withDeadline(mux)))
+	api := func(pattern, route string, h http.HandlerFunc) {
+		mux.Handle(pattern, s.trace(route, s.instrument(s.admit(s.withDeadline(h)))))
+	}
+	api("POST /v1/sessions", "create", s.handleCreate)
+	api("GET /v1/sessions", "list", s.handleList)
+	api("GET /v1/sessions/{id}/groups", "groups", s.handleGroups)
+	api("GET /v1/sessions/{id}/groups/{key}/updates", "updates", s.handleUpdates)
+	api("POST /v1/sessions/{id}/feedback", "feedback", s.handleFeedback)
+	api("GET /v1/sessions/{id}/status", "status", s.handleStatus)
+	api("GET /v1/sessions/{id}/export", "export", s.handleExport)
+	api("POST /v1/sessions/{id}/snapshot", "snapshot", s.handleSnapshot)
+	api("DELETE /v1/sessions/{id}", "delete", s.handleDelete)
+	api("PUT /v1/replicas/{key}", "replicas", s.handleReplicaPut)
+	api("GET /v1/replicas/{key}", "replicas", s.handleReplicaGet)
+	api("DELETE /v1/replicas/{key}", "replicas", s.handleReplicaDelete)
+	api("GET /v1/replicas", "replicas", s.handleReplicaList)
+	// The probes skip tracing, auth, admission and the deadline: they must
+	// answer even when every tenant is over quota, or the orchestrator
+	// would restart a healthy overloaded server. The trace debug endpoint
+	// is loopback-guarded instead of authenticated.
+	mux.Handle("GET /healthz", s.instrument(http.HandlerFunc(s.handleHealthz)))
+	mux.Handle("GET /metrics", s.instrument(http.HandlerFunc(s.handleMetrics)))
+	mux.Handle("GET /debug/traces", s.instrument(http.HandlerFunc(s.handleTraces)))
+	s.handler = mux
 	return s
 }
 
@@ -377,65 +394,13 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// exemptPath reports whether a path skips auth, admission and deadlines:
-// the probes must answer even when every tenant is over quota, or the
-// orchestrator would restart a healthy overloaded server. The trace debug
-// endpoint is loopback-guarded instead of authenticated.
-func exemptPath(p string) bool {
-	return p == "/healthz" || p == "/metrics" || p == "/debug/traces"
-}
-
-// routeLabel maps a request to a small fixed label set for metrics and
-// traces. It is hand-rolled rather than read from the mux (the matched
-// pattern is invisible to middleware outside the mux), and must stay
-// bounded — every value becomes a Prometheus label.
-func routeLabel(method, path string) string {
-	switch path {
-	case "/healthz":
-		return "healthz"
-	case "/metrics":
-		return "metrics"
-	case "/debug/traces":
-		return "traces"
-	}
-	if strings.HasPrefix(path, "/v1/replicas") {
-		return "replicas"
-	}
-	rest, ok := strings.CutPrefix(path, "/v1/sessions")
-	if !ok {
-		return "other"
-	}
-	switch {
-	case rest == "" || rest == "/":
-		if method == http.MethodPost {
-			return "create"
-		}
-		return "list"
-	case strings.HasSuffix(rest, "/updates"):
-		return "updates"
-	case strings.HasSuffix(rest, "/groups"):
-		return "groups"
-	case strings.HasSuffix(rest, "/feedback"):
-		return "feedback"
-	case strings.HasSuffix(rest, "/status"):
-		return "status"
-	case strings.HasSuffix(rest, "/export"):
-		return "export"
-	case strings.HasSuffix(rest, "/snapshot"):
-		return "snapshot"
-	case method == http.MethodDelete:
-		return "delete"
-	}
-	return "other"
-}
-
-// traceStages are the span stages gdrd records, and traceRoutes the route
-// labels a traced request can carry (routeLabel minus the exempt paths).
+// traceStages are the span stages gdrd records, and traceRoutes the labels
+// of the traced (API) routes New registers.
 var (
 	traceStages = []string{"admit", "queue", "slot", "exec", "encode", "persist", "write", "fsync", "rename",
 		core.PhaseSuggest, core.PhaseRerank, core.PhaseRetrain}
 	traceRoutes = []string{"create", "list", "groups", "updates", "feedback", "status", "export",
-		"snapshot", "delete", "replicas", "other"}
+		"snapshot", "delete", "replicas"}
 )
 
 // stageHists holds the gdrd_stage_seconds handle of each traceStages ×
@@ -467,29 +432,33 @@ func (s *stageHists) get(stage, route string) *metrics.Histogram {
 	return h
 }
 
-// instrument wraps the stack with body limiting, request tracing, logging
-// and the request counter/latency metrics. Non-exempt requests get a trace:
-// its ID is adopted from an incoming W3C traceparent header (and echoed
-// back with this server's span ID), the trace rides the request context
-// through every tier, and the response carries a Server-Timing header with
-// the stage breakdown.
+// trace starts the trace of a request to an API route labelled route: its
+// ID is adopted from an incoming W3C traceparent header (and echoed back
+// with this server's span ID), and the trace rides the request context
+// through every tier. instrument, inside it, finishes the trace.
+func (s *Server) trace(route string, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t := s.tracer.Start(r.Header.Get("Traceparent"), route)
+		w.Header().Set("Traceparent", t.TraceParent())
+		next.ServeHTTP(w, r.WithContext(obs.NewContext(r.Context(), t)))
+	})
+}
+
+// instrument wraps a route with body limiting, logging and the request
+// counter/latency metrics. A traced request's response carries a
+// Server-Timing header with the stage breakdown, and its trace is finished
+// here, once the status is known.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		route := routeLabel(r.Method, r.URL.Path)
-		var t *obs.Trace
-		if !exemptPath(r.URL.Path) {
-			t = s.tracer.Start(r.Header.Get("Traceparent"), route)
-			w.Header().Set("Traceparent", t.TraceParent())
-			r = r.WithContext(obs.NewContext(r.Context(), t))
-		}
+		t := obs.FromContext(r.Context())
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, trace: t}
 		next.ServeHTTP(rec, r)
 		elapsed := time.Since(start)
 		if rec.encodeErr != nil {
 			s.log.ErrorContext(r.Context(), "encoding response failed",
-				"route", route, "trace_id", t.ID(), "err", rec.encodeErr)
+				"route", t.Route(), "trace_id", t.ID(), "err", rec.encodeErr)
 		}
 		s.reg.Counter("gdrd_http_requests_total").Inc()
 		// Only server faults count as errors: 4xx is client misuse, and a
@@ -501,14 +470,14 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		s.reg.Histogram("gdrd_request_seconds").Observe(elapsed.Seconds())
 		t.Finish(rec.status)
-		s.logRequest(r, t, route, rec.status, elapsed)
+		s.logRequest(r, t, rec.status, elapsed)
 	})
 }
 
 // logRequest emits the per-request log line; requests at or above the
 // SlowRequest threshold escalate to warn level so slow outliers surface
 // without debug scraping.
-func (s *Server) logRequest(r *http.Request, t *obs.Trace, route string, status int, elapsed time.Duration) {
+func (s *Server) logRequest(r *http.Request, t *obs.Trace, status int, elapsed time.Duration) {
 	lvl, msg := slog.LevelInfo, "request"
 	if s.cfg.SlowRequest > 0 && elapsed >= s.cfg.SlowRequest {
 		lvl, msg = slog.LevelWarn, "slow request"
@@ -521,12 +490,11 @@ func (s *Server) logRequest(r *http.Request, t *obs.Trace, route string, status 
 	attrs = append(attrs,
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.String("route", route),
 		slog.Int("status", status),
 		slog.Duration("dur", elapsed.Round(time.Microsecond)),
 	)
 	if id := t.ID(); id != "" {
-		attrs = append(attrs, slog.String("trace_id", id))
+		attrs = append(attrs, slog.String("route", t.Route()), slog.String("trace_id", id))
 		if tn := t.Tenant(); tn != "" {
 			attrs = append(attrs, slog.String("tenant", tn))
 		}
@@ -572,10 +540,6 @@ func loopbackAddr(addr string) bool {
 // carries its *tenantState in the request context.
 func (s *Server) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if exemptPath(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
 		admitStart := time.Now()
 		t, err := s.authenticate(r)
 		if err != nil {
@@ -625,10 +589,6 @@ func (s *Server) withDeadline(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if exemptPath(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))

@@ -10,6 +10,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -217,6 +218,37 @@ func TestCreateMultipart(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusCreated || created.Session.Name != "multipart" {
 		t.Fatalf("multipart create: %d %+v", resp.StatusCode, created)
+	}
+}
+
+// TestMultipartCreateLeavesNoTempFiles: a multipart file part past the
+// form's 32 MiB memory bound spills to a temp file, and the create removes
+// it before it answers, whether or not the upload was good. Here a 33 MiB
+// csv part with no rules part is refused with 400.
+func TestMultipartCreateLeavesNoTempFiles(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 48 << 20})
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	fw, _ := mw.CreateFormFile("csv", "dirty.csv")
+	fw.Write(bytes.Repeat([]byte("a,b\n"), 33<<20/4))
+	mw.Close()
+	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", mw.FormDataContentType(), &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create without rules: status %d, want 400", resp.StatusCode)
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "multipart-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("the create left temp files behind: %v", left)
 	}
 }
 

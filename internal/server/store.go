@@ -78,9 +78,10 @@ type entry struct {
 	// conditional responses for the entry (fail-safe).
 	etagSalt string
 
-	// mutSeq counts the session's state mutations; it is bumped inside the
-	// actor command that performs the mutation, so a snapshot encoded on
-	// the actor observes a value consistent with the state it captured.
+	// mutSeq counts the session's state mutations; only Store.mutate
+	// advances it, inside the command that performs the mutation, so a
+	// snapshot encoded in a command observes a value consistent with the
+	// state it captured.
 	// ckptMu guards the durability watermark: durableMut is the mutSeq the
 	// newest on-disk snapshot captured (valid once hasDurable). An entry is
 	// dirty — needing a checkpoint — while mutSeq is ahead of the

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"gdr/internal/core"
 	"gdr/internal/metrics"
@@ -262,31 +265,117 @@ func TestOneLatencySource(t *testing.T) {
 	}
 }
 
-// TestRouteLabel pins the bounded route label set — every value becomes a
-// Prometheus label, so unknown shapes must collapse to "other".
+// TestRouteLabel drives every route over HTTP and reads the label each
+// request carried from gdrd_stage_seconds: a request to an API route is
+// traced and counts one admit span under the label the route table gives
+// the route, and nothing else; a probe is not traced and counts none, and
+// neither does a request no route matches, which the mux answers 404 or
+// 405 uncounted (no 401 either, though the server authenticates). Every
+// label becomes a Prometheus label, so the route table bounds the set.
 func TestRouteLabel(t *testing.T) {
+	_, ts := newTestServer(t, Config{Tenants: []TenantConfig{{Key: "k-acme", Name: "acme", Admin: true}}})
+	client := ts.Client()
+	send := func(ts *httptest.Server, method, path, key string) (int, http.Header) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != "" {
+			req.Header.Set("Authorization", "Bearer "+key)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header
+	}
+	// admits reads gdrd_stage_seconds' admit count of every route label.
+	admits := func() map[string]string {
+		t.Helper()
+		counts := make(map[string]string)
+		for _, line := range strings.Split(metricsText(t, ts), "\n") {
+			rest, ok := strings.CutPrefix(line, `gdrd_stage_seconds_count{route="`)
+			if label, n, found := strings.Cut(rest, `",stage="admit"} `); ok && found {
+				counts[label] = n
+			}
+		}
+		return counts
+	}
+	var created CreateSessionResponse
+	if code, _ := doJSONKey(t, client, "k-acme", "POST", ts.URL+"/v1/sessions",
+		CreateSessionRequest{CSV: figure1CSV, Rules: figure1Rules, Seed: 1}, &created); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	id := "/v1/sessions/" + created.Session.ID
+	var groups GroupsResponse
+	if code, _ := doJSONKey(t, client, "k-acme", "GET", ts.URL+id+"/groups", nil, &groups); code != http.StatusOK || len(groups.Groups) == 0 {
+		t.Fatalf("groups: status %d, %d groups", code, len(groups.Groups))
+	}
+	key := SessionKey("acme", created.Session.ID)
+
 	cases := []struct {
-		method, path, want string
+		method, path string
+		label        string // "" = counts no span
+		status       int    // checked when non-zero
 	}{
-		{"GET", "/healthz", "healthz"},
-		{"GET", "/metrics", "metrics"},
-		{"GET", "/debug/traces", "traces"},
-		{"POST", "/v1/sessions", "create"},
-		{"GET", "/v1/sessions", "list"},
-		{"GET", "/v1/sessions/abc/groups", "groups"},
-		{"GET", "/v1/sessions/abc/groups/k1/updates", "updates"},
-		{"POST", "/v1/sessions/abc/feedback", "feedback"},
-		{"GET", "/v1/sessions/abc/status", "status"},
-		{"GET", "/v1/sessions/abc/export", "export"},
-		{"POST", "/v1/sessions/abc/snapshot", "snapshot"},
-		{"DELETE", "/v1/sessions/abc", "delete"},
-		{"GET", "/v1/sessions/abc", "other"},
-		{"GET", "/nope", "other"},
+		{"GET", "/healthz", "", http.StatusOK},
+		{"GET", "/metrics", "", http.StatusOK},
+		{"GET", "/debug/traces", "", http.StatusOK},
+		{"POST", "/v1/sessions", "create", 0},
+		{"GET", "/v1/sessions", "list", 0},
+		{"GET", id + "/groups", "groups", 0},
+		{"GET", id + "/groups/" + groups.Groups[0].Key + "/updates", "updates", 0},
+		{"POST", id + "/feedback", "feedback", 0},
+		{"GET", id + "/status", "status", 0},
+		{"GET", id + "/export", "export", 0},
+		{"POST", id + "/snapshot", "snapshot", 0},
+		{"PUT", "/v1/replicas/" + key, "replicas", 0},
+		{"GET", "/v1/replicas/" + key, "replicas", 0},
+		{"DELETE", "/v1/replicas/" + key, "replicas", 0},
+		{"GET", "/v1/replicas", "replicas", 0},
+		{"DELETE", id, "delete", 0},
+		{"GET", id, "", http.StatusMethodNotAllowed},
+		{"GET", "/nope", "", http.StatusNotFound},
 	}
 	for _, c := range cases {
-		if got := routeLabel(c.method, c.path); got != c.want {
-			t.Errorf("routeLabel(%s %s) = %q, want %q", c.method, c.path, got, c.want)
+		before := admits()
+		status, header := send(ts, c.method, c.path, "k-acme")
+		if c.status != 0 && status != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, status, c.status)
 		}
+		if traced := header.Get("Traceparent") != ""; traced != (c.label != "") {
+			t.Errorf("%s %s: traced %v, want %v", c.method, c.path, traced, c.label != "")
+		}
+		want := maps.Clone(before)
+		if c.label != "" {
+			n, _ := strconv.Atoi(before[c.label])
+			want[c.label] = strconv.Itoa(n + 1)
+		}
+		got := admits()
+		for deadline := time.Now().Add(5 * time.Second); !maps.Equal(got, want) && time.Now().Before(deadline); got = admits() {
+			time.Sleep(time.Millisecond)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s %s: admit counts by route %v, want %v", c.method, c.path, got, want)
+		}
+	}
+
+	// Unmatched requests without a key: the mux answers, before auth, and
+	// nothing counts them.
+	fresh, tsFresh := newTestServer(t, Config{Tenants: []TenantConfig{{Key: "k-acme", Name: "acme"}}})
+	for _, c := range []struct {
+		method, path string
+		status       int
+	}{{"GET", "/nope", http.StatusNotFound}, {"GET", id, http.StatusMethodNotAllowed}, {"POST", "/healthz", http.StatusMethodNotAllowed}} {
+		if status, _ := send(tsFresh, c.method, c.path, ""); status != c.status {
+			t.Errorf("unauthenticated %s %s: status %d, want %d", c.method, c.path, status, c.status)
+		}
+	}
+	if n := fresh.Registry().Counter("gdrd_http_requests_total").Value(); n != 0 {
+		t.Errorf("unmatched requests counted %d times in gdrd_http_requests_total, want 0", n)
 	}
 }
 
